@@ -40,33 +40,28 @@ Parallel trigger firing
 
 Each level's candidate triggers are materialised *before* any firing, so
 the trigger search of a level runs against a frozen instance — an
-embarrassingly parallel unit.  ``parallelism=`` takes a marker from
-:mod:`repro.options`: with :class:`~repro.options.ProcessPool` (the CLI
-default for ``--parallelism N > 1``) the TGD list is sharded round-robin
+embarrassingly parallel unit.  ``parallelism=ProcessPool(n)`` (the CLI
+default for ``--parallelism N > 1``) shards the TGD list round-robin
 across long-lived worker *processes* that hold interned replicas of the
 instance — each level ships only the intern-pool delta and the new atoms
 as ``[pred_id, [term_id, …]]`` buffers over the :mod:`repro.datamodel.io`
-codec, and workers return compact candidate buffers; with
-:class:`~repro.options.ThreadPool` the same sharding runs on a
-:class:`~concurrent.futures.ThreadPoolExecutor` in-process.  Either way
-each worker enumerates its shard's triggers into a private candidate list
-with private :class:`EvalStats`, and the coordinator merges the shards
-back into the *serial enumeration order* (a stable sort on the TGD index —
-each TGD lives in exactly one shard, so within-TGD order is preserved)
-before the usual fired-key dedupe and firing.  Consequences:
+codec, and workers return compact candidate buffers with private
+:class:`EvalStats`.  The coordinator sorts the merged candidates into
+canonical firing order before the usual fired-key dedupe and firing.
+(``ThreadPool(n)`` is deprecated: its GIL-bound thread shards ran at
+0.66–0.98× serial speed on E19's ``sharded_ontology(4, 3)`` on a 2-vCPU
+host, so the marker now warns and runs serially.)  Consequences:
 
 * firing, null invention, and level assignment stay on the coordinator,
   in the same order the serial engine would use — parallel and serial
   runs produce *bit-identical* instances, level maps, and counters
   (asserted by ``tests/oracle/test_parallel_determinism.py`` and
   ``tests/oracle/test_process_parallelism.py``);
-* a shared :class:`~repro.governance.Budget` is checked from worker
-  threads (its counters are lock-protected, see
-  :mod:`repro.governance.budget`); process workers instead count site
-  checks locally and the coordinator *replays* the counts via
-  ``Budget.check_batch`` in shard order, so trips and injected faults
-  land deterministically there too — either way a trip aborts the level
-  before a single trigger of that level fires;
+* process workers cannot share a :class:`~repro.governance.Budget`, so
+  they count site checks locally and the coordinator *replays* the counts
+  via ``Budget.check_batch`` in shard order — trips and injected faults
+  land deterministically, and a trip aborts the level before a single
+  trigger of that level fires;
 * a process worker that dies outright is respawned transparently at the
   next level, its shard's outcome folded into the retry-once policy
   below;
@@ -116,8 +111,8 @@ checkpoint_every=k)`` additionally snapshots every *k* completed levels
 (``on_checkpoint=`` receives each one — the CLI's crash-survivable
 ``--checkpoint-dir``).
 
-Worker-failure recovery: a parallel worker shard that dies from a
-*non-budget* exception is retried once on the coordinator thread
+Worker-failure recovery: a process worker shard that dies from a
+*non-budget* exception is retried once on the coordinator
 (``stats.worker_retries``); if the retry dies too, the level aborts with
 :class:`ChaseWorkerError` whose ``.checkpoint`` is the consistent
 pre-level snapshot — a crashed worker never costs more than one level of
@@ -127,7 +122,6 @@ progress.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -180,7 +174,7 @@ class ChaseNonterminationError(RuntimeError):
 class ChaseWorkerError(RuntimeError):
     """A parallel-chase worker died twice from a non-budget exception.
 
-    The first death is retried once on the coordinator thread; only a
+    The first death is retried once on the coordinator; only a
     second failure aborts the level and raises this.  ``checkpoint`` holds
     the consistent pre-level :class:`~repro.governance.ChaseCheckpoint`
     (no trigger of the aborted level fired), so the caller can repair the
@@ -225,7 +219,8 @@ class ChaseResult:
     parallelism:
         The worker count the run was configured with (1 = serial).
     parallelism_kind:
-        How the workers ran: ``"serial"``, ``"thread"``, or ``"process"``.
+        How the trigger search ran: ``"serial"`` or ``"process"`` (a
+        deprecated ``ThreadPool`` marker runs, and reports, ``"serial"``).
     checkpoint:
         A :class:`~repro.governance.ChaseCheckpoint` for every incomplete
         run (budget trip or level/atom bound), ``None`` on a fixpoint —
@@ -367,58 +362,16 @@ def _delta_triggers(
     belongs to exactly one level, no trigger is enumerated twice across
     levels either.
 
-    When instance and delta share an intern pool (the engine arranges
-    this), the search runs over dense int ids straight out of the columnar
-    store (:func:`repro.datamodel.joins.delta_triggers_interned`) — same
-    triggers, same counters, same budget-check sites, a fraction of the
-    per-fact cost.  The generic Term-level path below remains the fallback
-    (and the executable specification); both yield ``(tgd_index, ids)``
-    candidates with the body image interned into *instance*'s pool in
-    canonical body-variable order.
+    The search runs over dense int ids straight out of the columnar store
+    (:func:`repro.datamodel.joins.delta_triggers_interned`), so *delta*
+    must share *instance*'s intern pool — every engine builds its delta
+    that way.  Candidates are ``(tgd_index, ids)`` with the body image as
+    term ids in canonical body-variable order; :func:`_naive_triggers` is
+    the oracle the differential suite holds this search to.
     """
-    if instance.pool is delta.pool:
-        yield from delta_triggers_interned(
-            pairs, compile_bodies(pairs), instance, delta, stats, budget
-        )
-        return
-    intern = instance.pool.intern
-    by_pred = delta.atoms_by_pred()
-    for tgd_index, tgd in pairs:
-        if not tgd.body:
-            continue
-        order = tuple(sorted(tgd.body_variables(), key=lambda v: v.name))
-        for pivot_index, pivot in enumerate(tgd.body):
-            facts = by_pred.get(pivot.pred)
-            if not facts:
-                continue
-            rest = [a for j, a in enumerate(tgd.body) if j != pivot_index]
-            earlier = tgd.body[:pivot_index]
-            for fact in facts:
-                if fact.arity != pivot.arity:
-                    continue
-                seed = _unify(pivot, fact)
-                if seed is None:
-                    continue
-                # plan="auto": the plan cache keys on the *set* of bound
-                # terms, which is the same for every seed fact of one
-                # (TGD, pivot) pair — and the instance is frozen while a
-                # level's candidates are materialised, so each pair
-                # compiles at most once per level.
-                for hom in find_homomorphisms(
-                    rest,
-                    instance,
-                    fixed=seed,
-                    stats=stats,
-                    budget=budget,
-                    plan="auto",
-                ):
-                    stats.triggers_enumerated += 1
-                    if any(a.apply(hom) in delta for a in earlier):
-                        # An earlier pivot position already produced (or
-                        # will produce) this very trigger; count and skip.
-                        stats.triggers_deduped += 1
-                        continue
-                    yield tgd_index, tuple(intern(hom[v]) for v in order)
+    return delta_triggers_interned(
+        pairs, compile_bodies(pairs), instance, delta, stats, budget
+    )
 
 
 def _naive_triggers(
@@ -451,19 +404,20 @@ def _parallelism_from_config(value) -> tuple[str, int]:
 
     Format-2 checkpoints store ``{"kind": ..., "workers": ...}``; the io
     decoder shims format-1 ints into the same shape, but synthetic configs
-    (and very old in-memory checkpoints) may still carry a bare int, which
-    keeps its historical thread meaning — no deprecation warning here,
-    because nobody *typed* that int in the current release.
+    (and very old in-memory checkpoints) may still carry a bare int.  Only
+    a process pool survives a resume: ``"thread"`` entries (and bare ints,
+    which historically meant threads) resume serially, with no deprecation
+    warning — nobody *typed* that value in the current release.
     """
-    if isinstance(value, Mapping):
-        kind = value.get("kind", "serial")
-        workers = value.get("workers", 1)
-        if kind not in ("serial", "thread", "process"):
-            raise ValueError(f"unknown parallelism kind {kind!r} in checkpoint")
-        return (kind, workers) if workers > 1 else ("serial", 1)
-    if value is None or value == 1:
+    if not isinstance(value, Mapping):
         return ("serial", 1)
-    return ("thread", int(value))
+    kind = value.get("kind", "serial")
+    workers = value.get("workers", 1)
+    if kind not in ("serial", "thread", "process"):
+        raise ValueError(f"unknown parallelism kind {kind!r} in checkpoint")
+    if kind == "process" and workers > 1:
+        return ("process", workers)
+    return ("serial", 1)
 
 
 def _collect_shard(
@@ -473,88 +427,13 @@ def _collect_shard(
     strategy: str,
     budget: Budget | None,
 ) -> tuple[list[tuple[int, tuple[int, ...]]], EvalStats]:
-    """Worker body: enumerate one shard's triggers with a private stats."""
+    """Enumerate one shard's triggers with a private stats (inline retry)."""
     local = EvalStats()
     if strategy == "delta":
         candidates = list(_delta_triggers(pairs, instance, delta, local, budget))
     else:
         candidates = list(_naive_triggers(pairs, instance, local, budget))
     return candidates, local
-
-
-def _parallel_candidates(
-    executor: ThreadPoolExecutor,
-    workers: int,
-    pairs: Sequence[tuple[int, TGD]],
-    instance: Instance,
-    delta: Instance,
-    strategy: str,
-    stats: EvalStats,
-    budget: Budget | None,
-) -> list[tuple[int, tuple[int, ...]]]:
-    """Shard the level's trigger search across the pool and merge.
-
-    The merge order is irrelevant: the caller sorts the level's candidates
-    into canonical firing order (:func:`_candidate_sort`), which is how
-    parallel, serial, and resumed runs all fire identically — shards are
-    built round-robin over TGD indexes purely to balance work.  A budget
-    trip in any worker is
-    re-raised *after* all workers have drained (no thread keeps running
-    into the next level), and the level's candidates are discarded — no
-    trigger of an aborted level ever fires, so the instance stays a
-    consistent prefix.
-
-    A worker that dies from a **non-budget** exception is retried once,
-    inline on the coordinator (the search only reads frozen state, so a
-    transient failure — OOM pressure, a chaos-injected crash — is safely
-    re-runnable); ``stats.worker_retries`` counts these.  A second failure
-    aborts the level with :class:`ChaseWorkerError` — budget trips from
-    other shards take precedence, since they carry graceful-degradation
-    semantics.
-    """
-    shards = [list(pairs[w::workers]) for w in range(workers)]
-    shards = [shard for shard in shards if shard]
-    futures = [
-        executor.submit(_collect_shard, shard, instance, delta, strategy, budget)
-        for shard in shards
-    ]
-    stats.parallel_levels += 1
-    stats.shards_dispatched += len(shards)
-    merged: list[tuple[int, tuple[int, ...]]] = []
-    budget_error: BudgetExceeded | None = None
-    worker_error: ChaseWorkerError | None = None
-    for future, shard in zip(futures, shards):
-        try:
-            candidates, local = future.result()
-        except BudgetExceeded as exc:
-            if budget_error is None:
-                budget_error = exc
-            continue
-        except Exception as exc:
-            stats.worker_retries += 1
-            try:
-                candidates, local = _collect_shard(
-                    shard, instance, delta, strategy, budget
-                )
-            except BudgetExceeded as retry_exc:
-                if budget_error is None:
-                    budget_error = retry_exc
-                continue
-            except Exception as retry_exc:
-                if worker_error is None:
-                    worker_error = ChaseWorkerError(
-                        f"chase worker shard of {len(shard)} TGD(s) failed "
-                        f"twice: {exc!r}, then {retry_exc!r}"
-                    )
-                    worker_error.__cause__ = retry_exc
-                continue
-        stats.merge(local)
-        merged.extend(candidates)
-    if budget_error is not None:
-        raise budget_error
-    if worker_error is not None:
-        raise worker_error
-    return merged
 
 
 def _process_candidates(
@@ -569,22 +448,31 @@ def _process_candidates(
 ) -> list[tuple[int, tuple[int, ...]]]:
     """Run one level across the process pool and merge deterministically.
 
-    The same contract as :func:`_parallel_candidates`, with the budget
-    discipline inverted: process workers cannot check the shared
+    The merge order is irrelevant: the caller sorts the level's candidates
+    into canonical firing order (:func:`_candidate_sort`), which is how
+    parallel, serial, and resumed runs all fire identically — shards are
+    built round-robin over TGD indexes purely to balance work.
+
+    Process workers cannot check the shared
     :class:`~repro.governance.Budget` live, so each returns its per-site
     check counts and the coordinator *replays* them here via
     :meth:`~repro.governance.Budget.check_batch` — in shard order, sites
     sorted — before accepting the shard's candidates.  Deterministic
     replay order means step budgets, cancellation, and chaos injections
     trip on the same shard in every run, which is what keeps
-    ``resume(trip(run))`` bit-identical across process parallelism.
+    ``resume(trip(run))`` bit-identical across process parallelism.  A
+    budget trip from any shard is re-raised after every shard has been
+    accounted for, and the level's candidates are discarded — no trigger
+    of an aborted level ever fires, so the instance stays a consistent
+    prefix.
 
     A shard whose replay raises a **non-budget** exception (the chaos
     harness's injected worker crash) or whose process died outright is
-    retried once inline on the coordinator — against the real budget, like
-    the thread path — and a second failure aborts the level with
-    :class:`ChaseWorkerError`.  Budget trips from any shard take
-    precedence over worker errors, as in the thread merge.
+    retried once inline on the coordinator against the real budget (the
+    search only reads frozen state, so it is safely re-runnable);
+    ``stats.worker_retries`` counts these.  A second failure aborts the
+    level with :class:`ChaseWorkerError` — budget trips from other shards
+    take precedence, since they carry graceful-degradation semantics.
     """
     outcomes = procpool.run_level(atom_order, delta_order, budget)
     stats.parallel_levels += 1
@@ -632,8 +520,7 @@ def _process_candidates(
                 continue
             except Exception as exc:
                 # An injected worker-crash fault fired during replay: the
-                # shard's work is discarded and re-run inline, exactly as
-                # a thread worker death would be.
+                # shard's work is discarded and re-run inline.
                 retry(shard, exc)
                 continue
             stats.merge(procpool.decode_stats(payload["stats"]))
@@ -694,7 +581,8 @@ def _chase_core(
 
     The caller hands over the initial state (instance, level map, delta
     frontier, fired keys); the core runs levels to a fixpoint or bound and
-    owns the executor lifecycle.  Invariants the checkpoint layer leans on:
+    owns the process pool's lifecycle.  Invariants the checkpoint layer
+    leans on:
 
     * ``levels`` and ``instance`` receive atoms in lockstep, so the atoms
       produced in the current level are exactly the *tail* of the level
@@ -746,14 +634,8 @@ def _chase_core(
     # without building Atom objects.
     fire_specs: dict[int, tuple[tuple[int, tuple[int, ...]], ...]] = {}
 
-    executor: ThreadPoolExecutor | None = None
     procpool = None
-    sharded = workers > 1 and len(pairs) >= 2
-    if sharded and parallel_kind == "thread":
-        executor = ThreadPoolExecutor(
-            max_workers=workers, thread_name_prefix="chase-shard"
-        )
-    elif sharded and parallel_kind == "process":
+    if parallel_kind == "process" and workers > 1 and len(pairs) >= 2:
         # The pool object is cheap; worker processes spawn lazily at the
         # first level whose work crosses the parallel threshold.
         from .procpool import ProcessShardPool
@@ -828,7 +710,7 @@ def _chase_core(
     # Per-level rollback marks, maintained only when a mid-level abort is
     # possible (budget trip or worker failure); ungoverned serial runs pay
     # nothing.
-    track_marks = budget is not None or executor is not None or procpool is not None
+    track_marks = budget is not None or procpool is not None
     produced: list[Atom] = []
     level_keys: list = []
     null_mark = null_counter_value()
@@ -869,22 +751,15 @@ def _chase_core(
             # while the homomorphism search lazily walks the instance's live
             # index sets would mutate them mid-iteration, and the level-wise
             # semantics wants triggers judged against the end-of-previous-
-            # level instance anyway.  The frozen instance is also what makes
-            # the sharded search safe: workers only read.
+            # level instance anyway.
             frontier_size = len(delta) if strategy == "delta" else len(instance)
-            dispatch = (
-                (executor is not None or procpool is not None)
+            if (
+                procpool is not None
                 and frontier_size * len(pairs) >= parallel_threshold
-            )
-            if dispatch and procpool is not None:
+            ):
                 candidates = _process_candidates(
                     procpool, list(levels), delta_order, instance, delta,
                     strategy, stats, budget,
-                )
-            elif dispatch:
-                candidates = _parallel_candidates(
-                    executor, workers, pairs, instance, delta, strategy,
-                    stats, budget,
                 )
             elif strategy == "delta":
                 candidates = list(
@@ -1018,8 +893,6 @@ def _chase_core(
         )
         raise
     finally:
-        if executor is not None:
-            executor.shutdown(wait=True)
         if procpool is not None:
             procpool.stop()
 
@@ -1075,13 +948,13 @@ def chase(
     default) or ``"naive"`` (full re-scan per level, the differential
     oracle).  Both produce identical level maps and isomorphic instances.
 
-    *parallelism* shards each level's trigger search:
-    ``ProcessPool(n)``/``ThreadPool(n)`` markers select process or thread
-    workers (``None`` → serial; a bare int > 1 still works as *n*
-    processes with a one-release :class:`DeprecationWarning` — see
+    *parallelism* shards each level's trigger search: ``ProcessPool(n)``
+    runs it on *n* worker processes (``None`` → serial; a bare int > 1
+    still works as *n* processes, and a ``ThreadPool(n)`` marker runs
+    serially, each with a one-release :class:`DeprecationWarning` — see
     :func:`repro.options.resolve_parallelism`).  Levels whose estimated
     work falls below *parallel_threshold* run serially.  Firing stays on
-    the coordinating thread/process in canonical order, so the result is
+    the coordinating process in canonical order, so the result is
     identical to the serial run's (see the module docstring).
 
     *stats* may be a shared :class:`EvalStats` to accumulate counters
@@ -1372,21 +1245,6 @@ def resume_chase(
         checkpoint_every=checkpoint_every,
         on_checkpoint=on_checkpoint,
     )
-
-
-def _unify(pattern: Atom, fact: Atom) -> dict[Term, Term] | None:
-    """Match a body atom against a fact; returns the variable bindings."""
-    bindings: dict[Term, Term] = {}
-    for term, value in zip(pattern.args, fact.args):
-        if isinstance(term, Variable):
-            seen = bindings.get(term)
-            if seen is None:
-                bindings[term] = value
-            elif seen != value:
-                return None
-        elif term != value:
-            return None
-    return bindings
 
 
 def terminating_chase(

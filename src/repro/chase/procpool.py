@@ -1,11 +1,10 @@
 """Process-parallel trigger search: persistent worker shards over pipes.
 
-The thread-sharded chase (:func:`repro.chase.engine._parallel_candidates`)
-hands each worker a *reference* to the frozen instance; its shards contend
-on the GIL, so CPU-bound trigger searches gain little.  This module runs
-the same sharded search across **OS processes**: each worker holds a
-private replica of the instance, rebuilt entirely from interned buffers —
-never from pickled Term graphs — and synchronised once per level.
+The chase's trigger search is CPU-bound pure Python, so threads sharing
+the frozen instance would contend on the GIL.  This module shards the
+search across **OS processes** instead: each worker holds a private
+replica of the instance, rebuilt entirely from interned buffers — never
+from pickled Term graphs — and synchronised once per level.
 
 Wire format (all payloads built from :mod:`repro.datamodel.io` codecs and
 plain int lists — spawn-safe, no reliance on fork-inherited memory):

@@ -1,12 +1,13 @@
-"""Semi-naive Datalog saturation and the non-chase evaluation backends.
+"""Datalog programs, their saturation, and the non-chase backends.
 
-The compiler/saturation core (:func:`compile_program`, :func:`saturate`)
-depends only on the datamodel, the TGD layer, and governance, so it can
-be used standalone.  The OMQ-level backends (:mod:`repro.datalog.backend`
-— Datalog saturation and SQLite pushdown behind
-``repro.evaluate(..., backend=)``) pull in the chase and OMQ layers and
-are therefore exposed lazily (PEP 562), keeping ``import repro.datalog``
-light and cycle-free.
+:func:`compile_program` turns full TGDs into a stratified
+:class:`DatalogProgram`; :func:`saturate` computes its least model by
+running the semi-naive delta chase (:func:`repro.chase.chase`) over the
+rules — the chase is the one semi-naive engine.  The OMQ-level backends
+(:mod:`repro.datalog.backend` — Datalog saturation and SQLite pushdown
+behind ``repro.evaluate(..., backend=)``) also pull in the OMQ layer and
+SQL compiler, and are therefore exposed lazily (PEP 562), keeping
+``import repro.datalog`` light.
 """
 
 from __future__ import annotations

@@ -4,10 +4,11 @@ Both backends compute the same object as the chase route — the certain
 answers ``Q(D) = q(chase(D, Σ))`` restricted to ``dom(D)`` — but move the
 fixpoint work elsewhere:
 
-* **datalog** — full Σ saturates in-memory with the semi-naive engine
-  (the semi-oblivious chase of a full TGD set invents no nulls, so the
-  least model *is* the chase instance); guarded Σ with existential heads
-  runs a hybrid: the blocked-chase type machinery
+* **datalog** — full Σ saturates in-memory through :func:`saturate`,
+  which runs the semi-naive delta chase over the compiled rules (the
+  semi-oblivious chase of a full TGD set invents no nulls, so the least
+  model *is* the chase instance); guarded Σ with existential heads runs
+  a hybrid: the blocked-chase type machinery
   (:func:`~repro.chase.saturated_expansion`) supplies the sound chase
   portion with its witnesses, and the compiled full-rule subset is then
   saturated over it.  Exactness follows ``provably_exact`` of the
@@ -89,10 +90,19 @@ def _supports(backend: str, tgds: list[TGD]) -> bool:
 def choose_backend(tgds) -> str:
     """The ``backend="auto"`` policy — always a sound choice.
 
-    Full Σ goes to the Datalog engine (saturation without nulls beats
-    chase bookkeeping); linear single-head Σ goes to SQL (the perfect
-    rewriting avoids materialisation entirely — the E22 crossover);
-    everything else stays on the chase, which covers every fragment.
+    Measured on E22 (``BENCH_backends.json``):
+
+    * linear single-head Σ goes to SQL — the perfect rewriting runs over
+      ``D`` with nothing materialised, 9.6–16× faster than the chase on
+      the linear rows;
+    * full Σ goes to ``datalog``, whose saturation *is* the delta chase
+      over the compiled rules, so it costs what the chase route costs
+      (full-tc, n=100: 0.81 s vs 0.78 s).  In-database saturation is
+      faster on that row (0.17 s); moving full Σ to SQL is an open
+      decision that needs a service-level measurement first;
+    * everything else, an empty Σ included, stays on the chase, which
+      covers every fragment — the ``datalog`` hybrid for guarded Σ is
+      13–25× slower than the chase on the linear rows.
     """
     tgds = list(tgds)
     if tgds and all_full(tgds):
@@ -116,7 +126,7 @@ def datalog_certain_answers(
     unfold: int | None = None,
     max_nodes: int = 50_000,
 ) -> OMQAnswer:
-    """Certain answers via semi-naive Datalog saturation.
+    """Certain answers via Datalog saturation (:func:`saturate`).
 
     Full Σ: exact.  Guarded Σ with existentials: sound always, complete
     when the blocked expansion closed without blocking (the same

@@ -3,17 +3,19 @@
 A full TGD (no existential variables) *is* a Datalog rule once its head is
 split into single atoms (:meth:`repro.tgds.TGD.split_head` — semantics-
 preserving exactly for full TGDs).  A :class:`DatalogProgram` is a list of
-such rules plus the derived structure the saturation engine needs:
+such rules plus the derived structure the saturation backends need:
 
 * the **EDB/IDB split** — a predicate is intensional iff some rule derives
   it; everything else is extensional (read-only input);
 * **strata** — the condensation of the predicate-dependency graph
   (head depends on every body predicate), topologically ordered.  With no
-  negation every partition into SCCs works; stratifying still matters for
-  performance (a lower stratum saturates once and is then frozen — its
-  predicates never re-enter a delta) and it is the structure the paper's
-  fixed-parameter arguments are stated over: each stratum is a least
-  fixpoint of a monotone operator over the previous strata's output.
+  negation every partition into SCCs works.  The SQL pushdown iterates
+  the strata (a lower stratum saturates once and is then frozen), and
+  they are the structure the paper's fixed-parameter arguments are
+  stated over: each stratum is a least fixpoint of a monotone operator
+  over the previous strata's output.  The in-memory
+  :func:`~repro.datalog.saturate` needs no strata: one delta-chase level
+  loop over all rules reaches the same least model.
 
 The compiler refuses non-full TGDs — existential heads are not Datalog;
 the guarded fragment routes them through the blocked-chase type machinery
@@ -130,7 +132,7 @@ def compile_program(tgds: Sequence[TGD]) -> DatalogProgram:
     ...     ["R(x, y) -> S(x, y)", "S(x, y), S(y, z) -> S(x, z)"]
     ... ))
     >>> len(program.rules), len(program.strata)
-    (2, 2)
+    (2, 1)
     """
     rules: list[DatalogRule] = []
     for tgd in tgds:

@@ -1,37 +1,45 @@
-"""Semi-naive (delta-driven) Datalog saturation.
+"""Datalog saturation as a thin entry over the semi-naive chase.
 
 For a full TGD set, the semi-oblivious chase adds no labelled nulls, so
 ``chase(D, Σ)`` *is* the least fixpoint of the compiled Datalog program
-over ``D`` — which this engine computes stratum by stratum:
+over ``D`` (Prop 3.1; DESIGN.md) — and the delta chase already is
+semi-naive evaluation: at level ``i`` it only enumerates joins that touch
+an atom derived at level ``i − 1``.  :func:`saturate` therefore runs one
+:func:`~repro.chase.chase` over the program's rules instead of keeping a
+second round loop:
 
-* **naive** — each round re-joins every rule body against the whole
-  instance; simple, and the oracle the property tests compare against;
-* **seminaive** (default) — each round only enumerates joins that touch at
-  least one atom derived in the previous round: for every rule and every
-  body position whose predicate is in the current stratum's IDB, unify
-  that *pivot* atom against each delta atom and search the remaining body
-  atoms in the total instance (``find_homomorphisms(..., fixed=...)``).
-  A derivation using ``k`` delta atoms is enumerated once per delta
-  position, so results are deduplicated by the instance's set semantics —
-  duplicate work, never duplicate facts.
+* **seminaive** (default) — ``strategy="delta"``;
+* **naive** — ``strategy="naive"``, each level re-joins every rule body
+  against the whole instance; the oracle the property tests compare
+  against.
 
-Governance: the ``"datalog-stratum"`` check site is consulted once per
-delta round per stratum.  A trip raises the
-:class:`~repro.governance.BudgetExceeded` with the saturated-so-far
-instance attached as ``exc.partial`` — sound, because rule heads are only
-added after their body matched atoms already proven to be consequences.
+The strata of a :class:`~repro.datalog.DatalogProgram` are not iterated
+here: one level loop over all rules reaches the same least model.  They
+remain the structure the SQL pushdown iterates.
+
+Governance: the chase's ``"trigger-fire"`` and ``"hom-backtrack"`` check
+sites govern saturation.  A trip raises the
+:class:`~repro.governance.BudgetExceeded` matching the trip code with the
+saturated-so-far instance attached as ``exc.partial`` — sound, because
+the chase adds a rule head only after its body matched atoms already
+proven to be consequences.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
-from typing import Sequence
 
-from ..datamodel import Atom, EvalStats, Instance, find_homomorphisms
-from ..governance import Budget, BudgetExceeded
-from .program import DatalogProgram, DatalogRule
+from ..chase.engine import chase
+from ..datamodel import EvalStats, Instance
+from ..governance import Budget, trip_exception
+from ..tgds import TGD
+from .program import DatalogProgram
 
 __all__ = ["SaturationRun", "saturate"]
+
+#: saturate() strategy → the chase trigger search that implements it.
+_CHASE_STRATEGIES = {"seminaive": "delta", "naive": "naive"}
 
 
 @dataclass
@@ -40,7 +48,9 @@ class SaturationRun:
 
     ``instance`` contains the input facts and every derived fact;
     ``rounds``/``facts_derived`` mirror the ``datalog_rounds`` /
-    ``datalog_facts`` counters of the run's :class:`EvalStats`.
+    ``datalog_facts`` counters of the run's :class:`EvalStats` (chase
+    levels run, the final empty level included, and atoms added).
+    ``strata_run`` is the number of strata the least model covers.
     """
 
     instance: Instance
@@ -48,75 +58,6 @@ class SaturationRun:
     facts_derived: int
     strata_run: int
     stats: EvalStats = field(default_factory=EvalStats)
-
-
-def _rule_matches(
-    rule: DatalogRule,
-    instance: Instance,
-    *,
-    stats: EvalStats,
-    budget: Budget | None,
-) -> set[Atom]:
-    """All head instantiations of *rule* over *instance* (naive join)."""
-    derived: set[Atom] = set()
-    for hom in find_homomorphisms(
-        rule.body, instance, stats=stats, budget=budget, plan="auto"
-    ):
-        derived.add(rule.head.apply(hom))
-    return derived
-
-
-def _delta_matches(
-    rule: DatalogRule,
-    idb: frozenset[str],
-    instance: Instance,
-    delta: Instance,
-    *,
-    stats: EvalStats,
-    budget: Budget | None,
-) -> set[Atom]:
-    """Head instantiations whose body uses ≥1 delta atom (semi-naive join).
-
-    For each body position over an IDB predicate of the current stratum,
-    unify it against every delta atom of that predicate (the *pivot*) and
-    search the remaining atoms in the full instance.  Complete because a
-    new derivation must use some new atom, and that atom sits at one of
-    the pivot positions.
-    """
-    derived: set[Atom] = set()
-    for pivot_index, pivot in enumerate(rule.body):
-        if pivot.pred not in idb:
-            continue
-        rest = rule.body[:pivot_index] + rule.body[pivot_index + 1 :]
-        for fact in delta.atoms_with_pred(pivot.pred):
-            fixed = _unify(pivot, fact)
-            if fixed is None:
-                continue
-            if not rest:
-                derived.add(rule.head.apply(fixed))
-                continue
-            for hom in find_homomorphisms(
-                rest,
-                instance,
-                fixed=fixed,
-                stats=stats,
-                budget=budget,
-                plan=None,
-            ):
-                derived.add(rule.head.apply(hom))
-    return derived
-
-
-def _unify(pattern: Atom, fact: Atom) -> dict | None:
-    """Match a constant-free body atom against a ground fact."""
-    assignment: dict = {}
-    for var, value in zip(pattern.args, fact.args):
-        bound = assignment.get(var)
-        if bound is None:
-            assignment[var] = value
-        elif bound != value:
-            return None
-    return assignment
 
 
 def saturate(
@@ -144,62 +85,42 @@ def saturate(
     >>> len(run.instance), run.facts_derived
     (6, 3)
     """
-    if strategy not in ("seminaive", "naive"):
+    if strategy not in _CHASE_STRATEGIES:
         raise ValueError(f"unknown saturation strategy {strategy!r}")
     if stats is None:
         stats = EvalStats()
-    instance = database.copy()
-    rounds = 0
-    derived_total = 0
-    strata_run = 0
-
-    try:
-        for stratum in program.strata:
-            rules = [program.rules[i] for i in stratum]
-            stratum_idb = frozenset(r.head.pred for r in rules)
-            strata_run += 1
-            # Round 0 of each stratum is a naive pass: the whole instance
-            # is "new" from this stratum's point of view.
-            delta = instance
-            first = True
-            while True:
-                rounds += 1
-                stats.datalog_rounds += 1
-                if budget is not None:
-                    budget.check("datalog-stratum", atoms=len(instance))
-                fresh: set[Atom] = set()
-                for rule in rules:
-                    if strategy == "naive" or first:
-                        matches = _rule_matches(
-                            rule, instance, stats=stats, budget=budget
-                        )
-                    else:
-                        matches = _delta_matches(
-                            rule,
-                            stratum_idb,
-                            instance,
-                            delta,
-                            stats=stats,
-                            budget=budget,
-                        )
-                    fresh |= {a for a in matches if a not in instance}
-                if not fresh:
-                    break
-                added = instance.add_all(fresh)
-                derived_total += added
-                stats.datalog_facts += added
-                delta = Instance(fresh)
-                first = False
-    except BudgetExceeded as exc:
-        # Sound partial: the instance only ever holds the input plus
-        # complete rule-head instantiations (heads land between rounds,
-        # never mid-join), so every atom is a genuine consequence.
-        raise exc.attach(partial=instance, stats=stats)
-
+    rules = [TGD(rule.body, (rule.head,), rule.name) for rule in program.rules]
+    # Full rules invent no nulls, so the chase always reaches its fixpoint:
+    # the safety cap must never be the thing that stops it.
+    result = chase(
+        database,
+        rules,
+        strategy=_CHASE_STRATEGIES[strategy],
+        stats=stats,
+        budget=budget,
+        safety_cap=sys.maxsize,
+    )
+    # Atom levels equal the level that derived them, so a fixpoint run
+    # went max_level + 1 levels; a tripped run stopped inside next_level.
+    rounds = (
+        result.max_level + 1
+        if result.terminated
+        else result.checkpoint.next_level
+    )
+    derived = len(result.instance) - len(database)
+    stats.datalog_rounds += rounds
+    stats.datalog_facts += derived
+    if not result.terminated:
+        raise trip_exception(
+            result.reason,
+            f"saturation stopped by the budget ({result.reason})",
+            partial=result.instance,
+            stats=stats,
+        )
     return SaturationRun(
-        instance=instance,
+        instance=result.instance,
         rounds=rounds,
-        facts_derived=derived_total,
-        strata_run=strata_run,
+        facts_derived=derived,
+        strata_run=len(program.strata),
         stats=stats,
     )

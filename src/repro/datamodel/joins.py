@@ -12,13 +12,14 @@ search directly over ``Instance``'s interned rows: bindings are a flat
 postings, and Term objects are materialised only for the homomorphisms
 that survive pivot dedupe.
 
-Contract: :func:`delta_triggers_interned` enumerates exactly the triggers
-of the generic pivot-rule search in
-:func:`repro.chase.engine._delta_triggers` — same homomorphism set, same
-``triggers_enumerated``/``triggers_deduped`` accounting, same
-``"hom-backtrack"`` budget-check placement (once per candidate row) — so
-the chaos and determinism oracles carry over.  The engine falls back to
-the generic path when the two instances do not share an intern pool.
+Contract: :func:`delta_triggers_interned` is the chase's semi-naive
+trigger search (:func:`repro.chase.engine._delta_triggers`).  It
+enumerates every trigger whose body image touches the delta exactly once
+(the pivot rule), counts ``triggers_enumerated``/``triggers_deduped``,
+and checks the budget at ``"hom-backtrack"`` once per candidate row.
+Instance and delta must share one intern pool.  The naive strategy's
+Term-level search (:func:`repro.chase.engine._naive_triggers`) is the
+oracle the differential suite holds it to.
 
 Candidates stay interned all the way to firing: each trigger is yielded as
 ``(tgd_index, ids)`` with *ids* the homomorphism's term ids in
@@ -84,9 +85,9 @@ def delta_triggers_interned(
 
     Yields ``(tgd_index, ids)`` with *ids* the homomorphism's term ids in
     ``BodyProgram.variables`` order (body variables sorted by name).  The
-    pivot rule is identical to the generic search: a trigger is emitted
-    from the seed whose pivot is the *first* body position whose image lies
-    in the delta; later-pivot duplicates count as ``triggers_deduped``.
+    pivot rule: a trigger is emitted from the seed whose pivot is the
+    *first* body position whose image lies in the delta; later-pivot
+    duplicates count as ``triggers_deduped``.
     """
     pool = instance.pool
     inst_tuples = instance._tuples

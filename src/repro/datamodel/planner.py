@@ -36,6 +36,7 @@ planned search to the unplanned one on random queries and instances.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -117,18 +118,27 @@ class InstanceStats:
         return cls(instance.version, pred_counts, distinct)
 
 
+#: Serialises publishing a freshly built InstanceStats on an instance.
+_publish_lock = threading.Lock()
+
+
 def instance_stats(instance: Instance) -> InstanceStats:
     """The (cached) statistics for the instance's *current* state.
 
-    Rebuilds on a version mismatch, so mutation invalidates lazily.  Safe
-    under the parallel chase's read-only sharing: a racing rebuild wastes a
-    pass but both threads compute identical statistics.
+    Rebuilds on a version mismatch, so mutation invalidates lazily.  Two
+    threads that first touch one instance (the service's workers sharing a
+    cached instance) may both build; only the first build is published and
+    both return it, so plans compiled into it by either thread survive.
     """
     cached = instance._stats_cache
     if cached is not None and cached.version == instance.version:
         return cached
     fresh = InstanceStats.build(instance)
-    instance._stats_cache = fresh
+    with _publish_lock:
+        cached = instance._stats_cache
+        if cached is not None and cached.version == fresh.version:
+            return cached
+        instance._stats_cache = fresh
     return fresh
 
 

@@ -65,11 +65,10 @@ class EvalStats:
         and were retried on the coordinator thread (see
         :func:`repro.chase.chase` and ``ChaseWorkerError``).
     datalog_rounds:
-        Delta rounds run by the Datalog saturation engine (per stratum;
-        the final empty-delta round counts — it is the fixpoint proof).
+        Chase levels run by Datalog saturation (the final empty level
+        counts — it is the fixpoint proof).
     datalog_facts:
-        Facts the Datalog saturation engine derived (new atoms only,
-        over all strata).
+        Facts Datalog saturation derived (new atoms only).
     sql_statements:
         Saturation statements the SQLite pushdown backend executed
         (recursive CTE queries plus per-round ``INSERT ... SELECT``s).

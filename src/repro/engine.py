@@ -82,8 +82,8 @@ class Engine:
         for none, or an existing cache instance to share across engines.
     parallelism:
         How each chase's per-level trigger search is sharded:
-        ``ProcessPool(n)``/``ThreadPool(n)`` markers or ``None`` (serial);
-        see :func:`repro.chase.chase` and :mod:`repro.options`.
+        ``ProcessPool(n)`` or ``None`` (serial); see
+        :func:`repro.chase.chase` and :mod:`repro.options`.
     trigger_strategy:
         ``"delta"`` (semi-naive, default) or ``"naive"`` — forwarded to
         every chase the session runs.

@@ -178,7 +178,6 @@ CHECK_SITES: dict[str, str] = {
     "witness-attempt": "finite-controllability witness: per retry",
     "sql-load": "SQLite backend: per relation loaded",
     "sql-disjunct": "SQLite backend: per UCQ disjunct executed",
-    "datalog-stratum": "Datalog saturation: per delta round within a stratum",
     "sql-pushdown": "SQLite pushdown: per saturation statement executed",
     "serve-admission": "async service: per request offered to admission control",
     "serve-dispatch": "async service: per request handed to an evaluation worker",

@@ -58,7 +58,8 @@ __all__ = [
 #: History: 1 — original layout, ``config["parallelism"]`` a bare int
 #: meaning worker *threads*; 2 — ``config["parallelism"]`` is
 #: ``{"kind": "serial" | "thread" | "process", "workers": n}`` (the io
-#: decoder shims format-1 ints into the same shape on load).
+#: decoder shims format-1 ints into the same shape on load; ``"thread"``
+#: entries resume serially).
 CHECKPOINT_FORMAT_VERSION = 2
 
 

@@ -186,8 +186,8 @@ def certain_answers(
     so repeated calls over the same ``(D, Σ)`` skip straight to UCQ
     evaluation.  The "bounded" strategy never touches the cache (a
     level-bounded prefix is not the chase).  *parallelism* shards the
-    chase's per-level trigger search (``ProcessPool(n)``/``ThreadPool(n)``
-    markers, or ``None`` for serial — see :mod:`repro.options`).
+    chase's per-level trigger search (a ``ProcessPool(n)`` marker, or
+    ``None`` for serial — see :mod:`repro.options`).
     *resume_from* continues a previously tripped chase-based evaluation
     from its :class:`~repro.governance.ChaseCheckpoint`
     (``answer.checkpoint``) instead of re-chasing from scratch; the

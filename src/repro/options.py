@@ -2,9 +2,9 @@
 
 Two things live here, both importable straight from :mod:`repro`:
 
-* the **parallelism markers** :class:`ProcessPool` and :class:`ThreadPool`,
-  which say *how* the chase's per-level trigger search is sharded (OS
-  processes vs. threads) as well as how wide; and
+* the **parallelism markers** :class:`ProcessPool` and the deprecated
+  :class:`ThreadPool`, which say how the chase's per-level trigger search
+  is sharded; and
 * :class:`EvalOptions`, the one dataclass that bundles every session-level
   evaluation knob (strategy, trigger strategy, join plan policy, backend,
   parallelism, level bound) so it can be built once and handed to
@@ -14,18 +14,20 @@ Two things live here, both importable straight from :mod:`repro`:
 Parallelism semantics (v1)
 --------------------------
 
-``parallelism=`` accepts ``ProcessPool(n)``, ``ThreadPool(n)``, ``None``
-(serial), or a plain int.  Processes are the default meaning of a bare
-``n > 1`` because the trigger search is CPU-bound pure Python: thread
-shards contend on the GIL, process shards do not (benchmarked in
-``benchmarks/bench_e19_parallel_chase.py``).  Passing a bare int > 1 —
-which used to mean *threads* — still works for one release but emits a
-:class:`DeprecationWarning`; spell the intent with a marker instead.
-``ProcessPool()``/``ThreadPool()`` with no width default to the CPU count.
+``parallelism=`` accepts ``ProcessPool(n)``, ``None`` (serial), or a
+plain int.  Process workers are the one sharding mechanism because the
+trigger search is CPU-bound pure Python: thread shards contend on the GIL
+and ran at 0.66–0.98× serial speed on E19's sharded workload (2-vCPU
+host), so ``ThreadPool(n)`` now emits a :class:`DeprecationWarning` and
+runs serially — its results were always bit-identical to serial.  Passing
+a bare int > 1 — which used to mean *threads* — still works for one
+release as *n* processes but emits a :class:`DeprecationWarning`; spell
+the intent with a marker instead.  ``ProcessPool()`` with no width
+defaults to the CPU count.
 
 :func:`resolve_parallelism` is the single normalisation point: every
 entry-path knob funnels through it to a ``(kind, workers)`` pair with
-``kind in {"serial", "thread", "process"}`` and ``workers >= 1``.
+``kind in {"serial", "process"}`` and ``workers >= 1``.
 """
 
 from __future__ import annotations
@@ -69,11 +71,11 @@ class ProcessPool:
 
 @dataclass(frozen=True)
 class ThreadPool:
-    """Shard each level's trigger search across *workers* threads.
+    """Deprecated: runs the trigger search serially, with a warning.
 
-    Threads share the coordinator's memory (no per-level sync cost) but
-    contend on the GIL; prefer :class:`ProcessPool` for CPU-bound chases.
-    ``ThreadPool()`` (workers=None) sizes the pool to the CPU count.
+    Thread shards contended on the GIL and never beat the serial search,
+    so :func:`resolve_parallelism` maps this marker to serial and emits a
+    :class:`DeprecationWarning`; use :class:`ProcessPool` to shard.
     """
 
     workers: int | None = None
@@ -90,23 +92,34 @@ Parallelism = Union[ProcessPool, ThreadPool, int, None]
 def resolve_parallelism(parallelism: Parallelism) -> tuple[str, int]:
     """Normalise a ``parallelism=`` value to ``(kind, workers)``.
 
-    ``None`` → ``("serial", 1)``; a marker resolves to its kind with
-    ``workers=None`` meaning the CPU count; a width of 1 collapses to
-    serial (there is nothing to shard).  A bare int > 1 resolves to
-    processes with a one-release :class:`DeprecationWarning` (ints used to
-    mean threads); a bare 1 is serial and warns nothing.
+    ``None`` → ``("serial", 1)``; a :class:`ProcessPool` resolves to
+    processes with ``workers=None`` meaning the CPU count, and a width of
+    1 collapses to serial (there is nothing to shard).  A
+    :class:`ThreadPool` resolves to serial with a
+    :class:`DeprecationWarning`.  A bare int > 1 resolves to processes with
+    a one-release :class:`DeprecationWarning` (ints used to mean threads);
+    a bare 1 is serial and warns nothing.
     """
     if parallelism is None:
         return ("serial", 1)
-    if isinstance(parallelism, (ProcessPool, ThreadPool)):
+    if isinstance(parallelism, ThreadPool):
+        warnings.warn(
+            f"{parallelism!r} is deprecated and runs serially (thread shards "
+            "never beat the serial trigger search); pass None, or "
+            "ProcessPool(n) to shard across processes",
+            DeprecationWarning,
+            stacklevel=3,
+        )
+        return ("serial", 1)
+    if isinstance(parallelism, ProcessPool):
         workers = parallelism.workers
         if workers is None:
             workers = os.cpu_count() or 1
         return (parallelism.kind, workers) if workers > 1 else ("serial", 1)
     if not isinstance(parallelism, int) or isinstance(parallelism, bool):
         raise TypeError(
-            "parallelism must be ProcessPool(n), ThreadPool(n), an int, or "
-            f"None, got {parallelism!r}"
+            "parallelism must be ProcessPool(n), an int, or None, got "
+            f"{parallelism!r}"
         )
     if parallelism < 1:
         raise ValueError(f"parallelism must be >= 1 or None, got {parallelism}")
@@ -115,8 +128,7 @@ def resolve_parallelism(parallelism: Parallelism) -> tuple[str, int]:
     warnings.warn(
         f"parallelism={parallelism} as a bare int now means {parallelism} "
         "worker *processes* (it used to mean threads) and will require a "
-        "marker in the next release; spell it ProcessPool"
-        f"({parallelism}) or ThreadPool({parallelism})",
+        f"marker in the next release; spell it ProcessPool({parallelism})",
         DeprecationWarning,
         stacklevel=3,
     )
@@ -147,8 +159,7 @@ class EvalOptions:
         ``"auto"``.
     parallelism:
         How to shard the chase's per-level trigger search — a
-        :class:`ProcessPool`/:class:`ThreadPool` marker or ``None``
-        (serial).
+        :class:`ProcessPool` marker or ``None`` (serial).
     level_bound:
         Level bound for the bounded strategy (``None`` → the default).
     """

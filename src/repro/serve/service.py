@@ -116,8 +116,8 @@ class ServiceConfig:
     (plus watchdog slack).
 
     ``parallelism`` shards every tenant chase's per-level trigger search
-    (:class:`~repro.options.ProcessPool` / ``ThreadPool`` markers or
-    ``None`` for serial).  Sizing note: each of the ``max_workers``
+    (a :class:`~repro.options.ProcessPool` marker or ``None`` for
+    serial).  Sizing note: each of the ``max_workers``
     evaluation threads may drive its own pool, so a ``ProcessPool(n)``
     setting can hold up to ``max_workers * n`` worker processes alive at
     peak — size the product to the machine, not each knob alone.

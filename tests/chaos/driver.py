@@ -37,7 +37,7 @@ from repro.chase import (
 from repro.datamodel import EvalStats, set_null_counter
 from repro.datamodel.io import checkpoint_from_json_dict, checkpoint_to_json_dict
 from repro.governance import TRIP_CODES
-from repro.options import ProcessPool, ThreadPool
+from repro.options import ProcessPool
 
 #: Fixed seeds every run sweeps; CHAOS_SEED (CI's randomized seed) is added.
 FIXED_SEEDS = (0, 1, 2)
@@ -45,9 +45,9 @@ FIXED_SEEDS = (0, 1, 2)
 #: Null-counter base pinned before every fresh (non-resumed) run.
 NULL_BASE = 1_000
 
-#: Parallelism flavours the chase sweep covers: serial, thread shards,
-#: process shards (the wider process sweep lives in the multicore suite).
-PARALLELISMS = (None, ThreadPool(2), ProcessPool(2))
+#: Parallelism flavours the chase sweep covers: serial, and process shards
+#: at two widths (four workers give each scenario TGD its own shard).
+PARALLELISMS = (None, ProcessPool(2), ProcessPool(4))
 
 #: Check sites the chase sweep injects at (the two governed chase loops).
 CHASE_SITES = ("trigger-fire", "hom-backtrack")

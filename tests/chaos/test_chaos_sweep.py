@@ -46,7 +46,6 @@ SWEPT_SITES = {
     "witness-attempt",
     "sql-load",
     "sql-disjunct",
-    "datalog-stratum",
     "sql-pushdown",
     "serve-admission",
     "serve-dispatch",
@@ -152,10 +151,10 @@ def test_chained_trips_still_reach_oracle(seed):
 # ======================================================================
 # Worker failure: a crashing shard is retried once, then checkpointed
 # ======================================================================
-#: Both shard flavours must honour the same crash-recovery contract: a
-#: thread shard dies by exception, a process shard by the coordinator's
-#: deterministic budget replay raising mid-merge.
-CRASH_POOLS = (driver.ThreadPool(2), driver.ProcessPool(2))
+#: A process shard "dies" by the coordinator's deterministic budget replay
+#: raising mid-merge; at both widths the crash must be retried once, then
+#: checkpointed.
+CRASH_POOLS = (driver.ProcessPool(2), driver.ProcessPool(4))
 
 
 def _kill_ordinal(seed, pool):
@@ -462,7 +461,7 @@ def test_sql_sweep(seed, site):
 # Backend sites: datalog saturation and SQL pushdown degrade gracefully
 # ======================================================================
 #: Full Σ with a recursive stratum (transitive closure) so both the
-#: semi-naive rounds and the SQL saturation loop check repeatedly.
+#: saturating chase's firings and the SQL saturation loop check repeatedly.
 BACKEND_TGDS = [
     "E(x, y) -> P(x, y)",
     "P(x, y), P(y, z) -> P(x, z)",
@@ -483,7 +482,7 @@ def _backend_scenario():
 @pytest.mark.parametrize("seed", driver.seeds())
 @pytest.mark.parametrize(
     "site,backend",
-    [("datalog-stratum", "datalog"), ("sql-pushdown", "sql")],
+    [("trigger-fire", "datalog"), ("sql-pushdown", "sql")],
 )
 def test_backend_site_sweep(seed, site, backend):
     """A trip mid-saturation yields a sound partial OMQAnswer, not garbage.
@@ -522,7 +521,8 @@ def test_backend_site_sweep(seed, site, backend):
 def test_datalog_stratum_partial_is_sound(seed):
     """At the saturation layer the trip raises with a sound partial:
     every atom collected before the trip is in the least model, and the
-    input database is never lost (rounds land atomically between checks).
+    input database is never lost (rule heads land atomically between
+    ``trigger-fire`` checks).
     """
     from repro.datalog import compile_program, saturate
 
@@ -532,12 +532,12 @@ def test_datalog_stratum_partial_is_sound(seed):
 
     budget = Budget()
     saturate(db, program, budget=budget)
-    count = budget.site_counts["datalog-stratum"]
+    count = budget.site_counts["trigger-fire"]
     rng = random.Random(seed)
     for code, exc_cls in TRIP_KINDS:
         for ordinal in driver.injection_ordinals(rng, count, k=1):
             budget = Budget()
-            budget.inject(ordinal, site="datalog-stratum", exc=exc_cls)
+            budget.inject(ordinal, site="trigger-fire", exc=exc_cls)
             with pytest.raises(BudgetExceeded) as excinfo:
                 saturate(db, program, budget=budget)
             exc = excinfo.value

@@ -1,16 +1,18 @@
 """Determinism oracle: the parallel chase against the serial engine.
 
-``chase(..., parallelism=ThreadPool(n))`` shards each level's trigger
-search across n worker threads and merges the shards back into serial
-enumeration order, so it must agree with ``parallelism=None`` *exactly* —
-not just up to isomorphism: identical atom sets modulo null renaming,
-identical level histograms, identical ground parts, identical certain
-answers, identical work counters for the merged search.
-``parallel_threshold=0`` forces the sharded path even on tiny frontiers so
-small workloads exercise it.  (The process-pool flavour has its own
-bit-identity oracle in ``test_process_parallelism.py``.)
+``chase(..., parallelism=ProcessPool(n))`` shards each level's trigger
+search across n worker processes and sorts the merged shards into
+canonical firing order, so it must agree with ``parallelism=None``
+*exactly* — not just up to isomorphism: identical atom sets modulo null
+renaming, identical level histograms, identical ground parts, identical
+certain answers, identical work counters for the merged search, on the
+benchgen workloads below.  ``parallel_threshold=0`` forces the sharded
+path even on tiny frontiers so small workloads exercise it.
+(``test_process_parallelism.py`` adds the wire-level and null-identity
+checks.)
 """
 
+import threading
 from collections import Counter
 
 import pytest
@@ -27,10 +29,10 @@ from repro.chase import chase
 from repro.datamodel import is_isomorphic
 from repro.governance import Budget
 from repro.omq import OMQ, certain_answers
-from repro.options import ThreadPool
+from repro.options import ProcessPool
 from repro.queries import parse_ucq
 
-WORKERS = (None, ThreadPool(2), ThreadPool(8))
+WORKERS = (None, ProcessPool(2), ProcessPool(4))
 
 
 def level_histogram(result):
@@ -95,7 +97,7 @@ class TestParallelEqualsSerial:
     def test_naive(self, tgds, db):
         serial = chase(db, tgds, strategy="naive")
         parallel = chase(
-            db, tgds, strategy="naive", parallelism=ThreadPool(4),
+            db, tgds, strategy="naive", parallelism=ProcessPool(2),
             parallel_threshold=0
         )
         assert_same_chase(serial, parallel)
@@ -105,7 +107,7 @@ class TestParallelEqualsSerial:
         tgds = employment_ontology()
         db = employment_database(10, 2, seed=1)
         result = chase(
-            db, tgds, parallelism=ThreadPool(4), parallel_threshold=10**9
+            db, tgds, parallelism=ProcessPool(4), parallel_threshold=10**9
         )
         assert result.stats.parallel_levels == 0
         assert result.stats.shards_dispatched == 0
@@ -142,7 +144,7 @@ class TestGovernedParallel:
         db = sharded_database(4, 12, 30, seed=7)
         budget = Budget(max_steps=200)
         result = chase(
-            db, tgds, parallelism=ThreadPool(4), parallel_threshold=0,
+            db, tgds, parallelism=ProcessPool(4), parallel_threshold=0,
             budget=budget,
         )
         assert not result.terminated
@@ -156,11 +158,11 @@ class TestGovernedParallel:
         tgds = sharded_ontology(4, 4)
         db = sharded_database(4, 14, 40, seed=2)
         budget = Budget()
-        budget.cancel("stop now")
-        result = chase(
-            db, tgds, parallelism=ThreadPool(4), parallel_threshold=0,
-            budget=budget,
-        )
+        canceller = threading.Thread(target=budget.cancel, args=("stop now",))
+        canceller.start()
+        canceller.join(timeout=10)
+        assert not canceller.is_alive()
+        result = chase(db, tgds, budget=budget)
         assert result.trip == "cancelled"
         assert not result.terminated
 
@@ -169,6 +171,6 @@ class TestGovernedParallel:
         with pytest.raises(ValueError):
             chase(db, employment_ontology(), parallelism=0)
         with pytest.raises(ValueError):
-            chase(db, employment_ontology(), parallelism=ThreadPool(0))
+            chase(db, employment_ontology(), parallelism=ProcessPool(0))
         with pytest.raises(TypeError):
             chase(db, employment_ontology(), parallelism="four")

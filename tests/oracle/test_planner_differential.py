@@ -36,10 +36,10 @@ from repro.datamodel import (
     plan_for,
 )
 from repro.omq import OMQ, certain_answers
-from repro.options import ThreadPool
+from repro.options import ProcessPool
 from repro.queries import evaluate_cq, evaluate_ucq, parse_cq, parse_ucq
 
-WORKERS = (None, ThreadPool(2), ThreadPool(8))
+WORKERS = (None, ProcessPool(2))
 
 
 def hom_multiset(homs):

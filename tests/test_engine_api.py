@@ -2,7 +2,8 @@
 
 ``repro.Engine`` must agree with the module-level functions it wraps, the
 v1 deprecation policy must hold (``chase_strategy=`` is gone — a
-``TypeError`` — and bare-int ``parallelism`` warns for one release), and
+``TypeError`` — bare-int ``parallelism`` warns for one release, and a
+``ThreadPool`` marker warns and runs serially), and
 every evaluation entry point / result type must speak the uniform
 protocol: ``budget=``/``stats=`` kwargs in, ``.complete`` / ``.trip`` /
 ``.stats`` out.
@@ -142,6 +143,24 @@ class TestDeprecations:
         oracle = chase(db, tgds)
         assert len(result.instance) == len(oracle.instance)
 
+    def test_thread_pool_warns_and_runs_serially(self, workload):
+        tgds, db = workload
+        oracle = chase(db, tgds)
+        with pytest.warns(DeprecationWarning, match="ThreadPool"):
+            direct = chase(db, tgds, parallelism=ThreadPool(2))
+        with pytest.warns(DeprecationWarning, match="ThreadPool"):
+            opts = EvalOptions(parallelism=ThreadPool(4))
+        with pytest.warns(DeprecationWarning, match="ThreadPool"):
+            via_engine = Engine(tgds, options=opts).chase(db)
+        for result in (direct, via_engine):
+            assert result.parallelism_kind == "serial"
+            assert result.parallelism == 1
+            assert result.stats.parallel_levels == 0
+            # Null names are globally fresh per run: compare up to renaming.
+            assert result.fired == oracle.fired
+            assert result.ground_part().atoms() == oracle.ground_part().atoms()
+            assert is_isomorphic(result.instance, oracle.instance)
+
     def test_markers_do_not_warn(self, workload):
         import warnings
 
@@ -149,10 +168,6 @@ class TestDeprecations:
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
             assert chase(db, tgds, parallelism=None).parallelism_kind == "serial"
-            assert (
-                chase(db, tgds, parallelism=ThreadPool(2)).parallelism_kind
-                == "thread"
-            )
             assert (
                 chase(db, tgds, parallelism=ProcessPool(2)).parallelism_kind
                 == "process"
@@ -163,12 +178,12 @@ class TestEvalOptions:
     def test_bundle_supplies_engine_defaults(self, workload):
         tgds, db = workload
         opts = EvalOptions(
-            trigger_strategy="naive", plan=None, parallelism=ThreadPool(2)
+            trigger_strategy="naive", plan=None, parallelism=ProcessPool(2)
         )
         engine = Engine(tgds, options=opts)
         assert engine.trigger_strategy == "naive"
         assert engine.plan is None
-        assert engine.parallelism == ThreadPool(2)
+        assert engine.parallelism == ProcessPool(2)
         assert engine.backend == "chase"
         # Explicit kwargs win over the bundle.
         override = Engine(tgds, options=opts, trigger_strategy="delta")
@@ -223,7 +238,7 @@ class TestUniformKwargs:
         stats = EvalStats()
         cache = ChaseCache()
         assert contained_under(
-            p, q, tgds, stats=stats, cache=cache, parallelism=ThreadPool(2)
+            p, q, tgds, stats=stats, cache=cache, parallelism=ProcessPool(2)
         )
         assert equivalent_under(p, q, tgds, cache=cache)
         assert cache.hits >= 1  # the canonical database of q repeats
@@ -234,7 +249,7 @@ class TestUniformKwargs:
         minimal = minimize_under_constraints(q, tgds, cache=ChaseCache())
         assert len(minimal.atoms) == 1
         assert is_minimal_under_constraints(
-            minimal, tgds, parallelism=ThreadPool(2)
+            minimal, tgds, parallelism=ProcessPool(2)
         )
 
 

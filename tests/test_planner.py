@@ -114,6 +114,34 @@ class TestPlanCache:
         assert counters.plans_compiled == 1
         assert counters.plan_cache_hits == 1
 
+    def test_racing_first_build_keeps_the_other_threads_plans(
+        self, monkeypatch
+    ):
+        # The first statistics build runs a nested plan_for of a second
+        # body — standing in for another thread that first touches the
+        # same instance while this build is in flight.  Its compiled plan
+        # must survive this build's publish.
+        from repro.datamodel.planner import InstanceStats
+
+        instance = skewed_instance()
+        outer = tuple(parse_atoms("Big(x, y), Small(x)"))
+        racer = tuple(parse_atoms("Big(x, y)"))
+        counters = EvalStats()
+        real_build = InstanceStats.build.__func__
+        raced = []
+
+        def build(cls, target):
+            if not raced:
+                raced.append(None)  # the nested call builds for real
+                raced[0] = plan_for(racer, target, stats=counters)
+            return real_build(cls, target)
+
+        monkeypatch.setattr(InstanceStats, "build", classmethod(build))
+        plan_for(outer, instance, stats=counters)
+        assert plan_for(racer, instance, stats=counters) is raced[0]
+        assert counters.plans_compiled == 2
+        assert counters.plan_cache_hits == 1
+
     def test_mutation_drops_the_cache(self):
         instance = skewed_instance()
         atoms = tuple(parse_atoms("Big(x, y)"))

@@ -188,6 +188,27 @@ class TestCheckpointBackCompat:
         resumed = resume_chase(checkpoint_from_json_dict(old), budget=Budget())
         assert driver.chase_fingerprint(resumed) == oracle
 
+    def test_thread_checkpoint_resumes_serially(self):
+        # What a ThreadPool(4) run checkpointed (and what the format-1 shim
+        # decodes a bare int to): the resume runs serially, warns nothing,
+        # and still reaches the uninterrupted oracle.
+        import warnings
+
+        db, tgds = driver.chase_scenario()
+        driver.pin_nulls()
+        oracle = driver.chase_fingerprint(chase(db, tgds))
+
+        payload = checkpoint_to_json_dict(self._tripped_checkpoint())
+        payload["config"]["parallelism"] = {"kind": "thread", "workers": 4}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DeprecationWarning)
+            resumed = resume_chase(
+                checkpoint_from_json_dict(payload), budget=Budget()
+            )
+        assert resumed.parallelism_kind == "serial"
+        assert resumed.parallelism == 1
+        assert driver.chase_fingerprint(resumed) == oracle
+
     def test_current_version_round_trips(self):
         ckpt = self._tripped_checkpoint()
         payload = checkpoint_to_json_dict(ckpt)
