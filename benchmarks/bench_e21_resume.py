@@ -86,15 +86,6 @@ def _resume_from_wire(wire: str):
     )
 
 
-def _best_of(repeats: int, fn, *args):
-    """(last result, fastest seconds) — repetition damps scheduler noise."""
-    best = float("inf")
-    for _ in range(repeats):
-        result, seconds = timed(fn, *args)
-        best = min(best, seconds)
-    return result, best
-
-
 def run(sizes=SIZES) -> list[dict]:
     rows = []
     json_rows = []
@@ -107,9 +98,17 @@ def run(sizes=SIZES) -> list[dict]:
             set_null_counter(NULL_BASE)
             return chase(db, tgds, budget=Budget())
 
-        full, restart_s = _best_of(REPEATS, _restart)
+        # Best of REPEATS per leg, with the legs interleaved (restart,
+        # resume, restart, ...): host drift between two blocks of repeats
+        # would move the gated ratio.  The first restart also sizes the trip.
+        full, restart_s = timed(_restart)
         wire = _tripped_wire(db, tgds, full.fired)
-        resumed, resume_s = _best_of(REPEATS, _resume_from_wire, wire)
+        resumed, resume_s = timed(_resume_from_wire, wire)
+        for _ in range(REPEATS - 1):
+            full, seconds = timed(_restart)
+            restart_s = min(restart_s, seconds)
+            resumed, seconds = timed(_resume_from_wire, wire)
+            resume_s = min(resume_s, seconds)
 
         # Bit-identity: the resumed run replays the same nulls and levels
         # as the uninterrupted run (null counter pinned in the checkpoint).

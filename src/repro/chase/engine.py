@@ -25,10 +25,10 @@ Two trigger-search strategies compute the same level-wise sequence:
 * ``strategy="delta"`` (the default) is *semi-naive*: at level ``i`` only
   triggers whose body image intersects the atoms produced at level
   ``i − 1`` are considered.  The previous level's atoms are kept in a
-  per-level delta :class:`~repro.datamodel.Instance` whose
-  ``atoms_by_pred()`` view seeds the search per body atom, and a pivot
-  rule (the pivot must be the *first* body atom landing in the delta)
-  ensures no trigger is ever enumerated twice.
+  per-level delta :class:`~repro.datamodel.Instance` whose facts seed
+  the search per body atom, and a pivot rule (the pivot must be the
+  *first* body atom landing in the delta) ensures no trigger is ever
+  enumerated twice.
 * ``strategy="naive"`` re-enumerates every body homomorphism into the whole
   instance at every level and discards already-fired keys.  It is the
   obviously-correct oracle that the differential suite (``tests/oracle/``)
@@ -138,7 +138,11 @@ from ..datamodel import (
     set_null_counter,
     term_sort_key,
 )
-from ..datamodel.joins import compile_bodies, delta_triggers_interned
+from ..datamodel.joins import (
+    body_atoms,
+    compile_bodies,
+    delta_triggers_interned,
+)
 from ..governance import Budget, BudgetExceeded
 from ..governance.checkpoint import ChaseCheckpoint, CheckpointError
 from ..tgds import TGD, all_full, is_weakly_acyclic
@@ -362,7 +366,7 @@ def _delta_triggers(
     belongs to exactly one level, no trigger is enumerated twice across
     levels either.
 
-    The search runs over dense int ids straight out of the columnar store
+    The search runs over the fact store's interned id tuples
     (:func:`repro.datamodel.joins.delta_triggers_interned`), so *delta*
     must share *instance*'s intern pool — every engine builds its delta
     that way.  Candidates are ``(tgd_index, ids)`` with the body image as
@@ -628,11 +632,6 @@ def _chase_core(
         for i in range(len(tgds))
     ]
     programs = compile_bodies(pairs)
-    # (pred id, slots) per body atom, resolved lazily at a TGD's first
-    # firing (its pred ids exist by then: the trigger matched stored rows);
-    # used to look the body image's rows — and hence its level — up
-    # without building Atom objects.
-    fire_specs: dict[int, tuple[tuple[int, tuple[int, ...]], ...]] = {}
 
     procpool = None
     if parallel_kind == "process" and workers > 1 and len(pairs) >= 2:
@@ -769,8 +768,6 @@ def _chase_core(
                 candidates = list(_naive_triggers(pairs, instance, stats, budget))
             _candidate_sort(candidates, pool)
 
-            inst_tuples = instance._tuples
-            atom_rows = instance._atom_rows
             for tgd_index, ids in candidates:
                 key = (
                     tgd_index,
@@ -787,18 +784,10 @@ def _chase_core(
                 fired_keys.add(key)
                 level_keys.append(key)
                 tgd = tgds[tgd_index]
-                specs = fire_specs.get(tgd_index)
-                if specs is None:
-                    specs = fire_specs[tgd_index] = tuple(
-                        (pool.pred_id_of(pred), slots)
-                        for pred, slots in programs[tgd_index].specs
-                    )
-                body_level = 0
-                for pid, slots in specs:
-                    row = inst_tuples[pid][tuple([ids[s] for s in slots])][0]
-                    atom_level = levels[atom_rows[pid][row]]
-                    if atom_level > body_level:
-                        body_level = atom_level
+                body_level = max(
+                    levels[atom]
+                    for atom in body_atoms(instance, programs[tgd_index], ids)
+                )
                 hom = {
                     v: term_of(i)
                     for v, i in zip(frontiers[tgd_index], key[1])

@@ -14,7 +14,7 @@ plain int lists — spawn-safe, no reliance on fork-inherited memory):
     worker's shard as a list of global TGD indexes, the trigger strategy,
     an :meth:`~repro.datamodel.InternPool.snapshot` of the coordinator's
     intern pool, and every stored atom as ``[pred_id, [term_id, ...]]``.
-    The worker rebuilds a local pool and columnar
+    The worker rebuilds a local pool and
     :class:`~repro.datamodel.Instance`; because snapshot order is id
     order, every id on the wire means the same term on both sides.
 

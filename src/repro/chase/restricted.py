@@ -17,7 +17,7 @@ where the (semi-)oblivious chase diverges.
 The trigger search is the same delta-driven (semi-naive) machinery as the
 oblivious engine (:mod:`repro.chase.engine`): at round ``i`` only triggers
 whose body image intersects the atoms produced at round ``i − 1`` are
-considered, seeded from the delta's ``atoms_by_pred()`` view with the pivot
+considered, seeded from the delta instance's facts with the pivot
 rule, and a processed-trigger cache guarantees each (TGD, frontier-image)
 key is *examined* at most once — sound because head satisfaction is
 monotone (once satisfied, always satisfied).  ``strategy="naive"`` keeps

@@ -1,4 +1,4 @@
-"""Instances and databases: interned, array-backed sets of atoms.
+"""Instances and databases: interned, indexed sets of atoms.
 
 An *instance* over a schema ``S`` is a set of atoms over ``S`` containing
 only constants; a *database* is a finite instance (Section 2).  Everything in
@@ -9,33 +9,30 @@ Storage layout (see DESIGN.md for the diagram)
 
 Terms and predicates are interned to dense ints through an
 :class:`~repro.datamodel.interning.InternPool` (shared process-wide by
-default).  Per predicate, facts live in a flat row-major ``array('q')`` of
-term ids — the canonical columnar store, and the buffer the
-process-parallel chase encodes straight onto the wire.  Around it sit the
-derived indexes the homomorphism search and the chase trigger search rely
-on:
+default).  Each fact lives in three containers, plus the ``_dom``
+occurrence counts:
 
-* ``_tuples``  — live id-tuple → row, the dedupe map;
-* ``_postings`` — per (predicate, position): value-id → row list, the
-  selective index behind :meth:`candidates`;
-* ``_atom_rows`` / ``_live_rows`` — per-row :class:`Atom` views and the
-  live row list, so reads hand back ordinary atoms with zero rebuild cost;
-* ``_atoms`` / ``_order`` — a plain set (O(1) membership, set algebra) and
-  the insertion-ordered atom log (deterministic iteration; the
-  ``atoms_since`` watermark feed for parallel workers).
+* ``_atoms`` — every atom, in insertion order (a dict used as an ordered
+  set): membership, iteration and set algebra;
+* ``_facts`` — per predicate id, the interned id tuple → :class:`Atom`
+  map, insertion-ordered: the dedupe key, the live facts, and the
+  candidates when no position is bound;
+* ``_postings`` — per (predicate, position), value id → the id tuples
+  holding that value: the selective index behind :meth:`candidates`.
 
-Rows are append-only; :meth:`discard` tombstones (the column keeps the dead
-row, every live index forgets it), so row numbers and intern ids stay
-stable — which is what the cross-process wire format needs.
+The id tuple is shared by the fact map and every posting, so an index
+entry costs a pointer.  :meth:`discard` removes the fact from all three;
+there are no row numbers or tombstones.  The interned trigger join
+(:mod:`repro.datamodel.joins`) reads ``_facts`` and ``_postings``
+directly; code outside :mod:`repro.datamodel` goes through the methods.
 
-``Atom`` and ``Term`` objects remain the API everywhere: they are thin
-views over the interned storage, not a parallel representation callers
-must convert to.
+``Atom`` and ``Term`` objects remain the API everywhere: the interned ids
+are an index over them, not a parallel representation callers must
+convert to.
 """
 
 from __future__ import annotations
 
-from array import array
 from typing import Iterable, Iterator
 
 from .atoms import Atom
@@ -46,29 +43,24 @@ from .terms import Term
 __all__ = ["Instance", "Database"]
 
 
-class _RowView:
-    """A read-only view of posting rows as atoms (len/iter/bool only)."""
+class _Postings:
+    """The atoms behind one posting list of id tuples (len/iter only)."""
 
-    __slots__ = ("_atom_rows", "_rows")
+    __slots__ = ("_facts", "_ids")
 
-    def __init__(self, atom_rows: list, rows: list) -> None:
-        self._atom_rows = atom_rows
-        self._rows = rows
+    def __init__(self, facts: dict, ids: list) -> None:
+        self._facts = facts
+        self._ids = ids
 
     def __len__(self) -> int:
-        return len(self._rows)
+        return len(self._ids)
 
     def __iter__(self) -> Iterator[Atom]:
-        atom_rows = self._atom_rows
-        for row in self._rows:
-            yield atom_rows[row]
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"_RowView<{len(self._rows)} rows>"
+        return map(self._facts.__getitem__, self._ids)
 
 
 class Instance:
-    """A finite set of ground atoms with interned columnar storage.
+    """A finite set of ground atoms over interned, indexed storage.
 
     >>> db = Instance([Atom("R", ("a", "b")), Atom("R", ("b", "c"))])
     >>> len(db)
@@ -80,13 +72,7 @@ class Instance:
     __slots__ = (
         "_pool",
         "_atoms",
-        "_order",
-        "_cols",
-        "_arity",
-        "_tuples",
-        "_keys",
-        "_atom_rows",
-        "_live_rows",
+        "_facts",
         "_postings",
         "_dom",
         "_version",
@@ -97,20 +83,9 @@ class Instance:
         self, atoms: Iterable[Atom] = (), *, pool: InternPool | None = None
     ) -> None:
         self._pool = pool if pool is not None else default_pool()
-        self._atoms: set[Atom] = set()
-        #: Insertion-ordered atom log; ``None`` marks a discarded slot so
-        #: ``atoms_since`` watermarks stay valid across discards.
-        self._order: list[Atom | None] = []
-        self._cols: dict[int, array] = {}
-        self._arity: dict[int, int] = {}
-        #: pred id -> {id-tuple -> (row, order position)}; live facts only.
-        self._tuples: dict[int, dict[tuple[int, ...], tuple[int, int]]] = {}
-        #: pred id -> id-tuple per row (parallel to ``_atom_rows``); the
-        #: interned join (:mod:`repro.datamodel.joins`) reads facts here.
-        self._keys: dict[int, list[tuple[int, ...]]] = {}
-        self._atom_rows: dict[int, list[Atom | None]] = {}
-        self._live_rows: dict[int, list[int]] = {}
-        self._postings: dict[int, list[dict[int, list[int]]]] = {}
+        self._atoms: dict[Atom, None] = {}
+        self._facts: dict[int, dict[tuple[int, ...], Atom]] = {}
+        self._postings: dict[int, list[dict[int, list[tuple[int, ...]]]]] = {}
         self._dom: dict[Term, int] = {}  # value -> occurrence count
         #: Mutation counter; bumped by add/discard.  The join planner keys
         #: its cached statistics and compiled plans on it (see
@@ -119,70 +94,7 @@ class Instance:
         #: Planner-owned statistics cache (an InstanceStats or None);
         #: validated against ``_version`` on every access.
         self._stats_cache = None
-        if atoms:
-            self._bulk_load(atoms)
-
-    def _bulk_load(self, atoms: Iterable[Atom]) -> None:
-        """The constructor's hot path: identical semantics to repeated
-        :meth:`add` (same insertion order, indexes, and dom counts) with
-        the per-call overhead hoisted out — checkpoint resume rebuilds
-        instances tens of thousands of atoms at a time through here.
-        """
-        pool = self._pool
-        intern = pool.intern
-        intern_pred = pool.intern_pred
-        atoms_set = self._atoms
-        order = self._order
-        dom = self._dom
-        tuples_by_pid = self._tuples
-        keys_by_pid = self._keys
-        atom_rows_by_pid = self._atom_rows
-        live_by_pid = self._live_rows
-        postings_by_pid = self._postings
-        cols_by_pid = self._cols
-        arity_by_pid = self._arity
-        added = 0
-        for atom in atoms:
-            if atom in atoms_set:
-                continue
-            pid = intern_pred(atom.pred)
-            args = atom.args
-            key = tuple([intern(t) for t in args])
-            tuples = tuples_by_pid.get(pid)
-            if tuples is None:
-                arity = len(key)
-                arity_by_pid[pid] = arity
-                cols_by_pid[pid] = array("q")
-                tuples = tuples_by_pid[pid] = {}
-                keys_by_pid[pid] = []
-                atom_rows_by_pid[pid] = []
-                live_by_pid[pid] = []
-                postings_by_pid[pid] = [dict() for _ in range(arity)]
-            elif len(key) > arity_by_pid[pid]:
-                postings_by_pid[pid].extend(
-                    dict() for _ in range(len(key) - arity_by_pid[pid])
-                )
-                arity_by_pid[pid] = len(key)
-            atom_rows = atom_rows_by_pid[pid]
-            row = len(atom_rows)
-            cols_by_pid[pid].extend(key)
-            keys_by_pid[pid].append(key)
-            atom_rows.append(atom)
-            live_by_pid[pid].append(row)
-            tuples[key] = (row, len(order))
-            order.append(atom)
-            atoms_set.add(atom)
-            postings = postings_by_pid[pid]
-            for pos, value_id in enumerate(key):
-                rows = postings[pos].get(value_id)
-                if rows is None:
-                    postings[pos][value_id] = [row]
-                else:
-                    rows.append(row)
-                value = args[pos]
-                dom[value] = dom.get(value, 0) + 1
-            added += 1
-        self._version += added
+        self.add_all(atoms)
 
     # ------------------------------------------------------------------
     # Mutation
@@ -195,78 +107,67 @@ class Instance:
         (Section 2), and keeping the very same objects makes the
         correspondence between query and canonical database trivial.
         """
-        if atom in self._atoms:
-            return False
-        pool = self._pool
-        pid = pool.intern_pred(atom.pred)
-        intern = pool.intern
-        key = tuple([intern(t) for t in atom.args])
-        tuples = self._tuples.get(pid)
-        if tuples is None:
-            arity = len(key)
-            self._arity[pid] = arity
-            self._cols[pid] = array("q")
-            tuples = self._tuples[pid] = {}
-            self._keys[pid] = []
-            self._atom_rows[pid] = []
-            self._live_rows[pid] = []
-            self._postings[pid] = [dict() for _ in range(arity)]
-        if len(key) > self._arity[pid]:
-            # Mixed-arity predicates are unusual but were never rejected by
-            # the set-backed store; grow the per-position index to match.
-            self._postings[pid].extend(
-                dict() for _ in range(len(key) - self._arity[pid])
-            )
-            self._arity[pid] = len(key)
-        atom_rows = self._atom_rows[pid]
-        row = len(atom_rows)
-        self._cols[pid].extend(key)
-        self._keys[pid].append(key)
-        atom_rows.append(atom)
-        self._live_rows[pid].append(row)
-        tuples[key] = (row, len(self._order))
-        self._order.append(atom)
-        self._atoms.add(atom)
-        postings = self._postings[pid]
-        dom = self._dom
-        for pos, value_id in enumerate(key):
-            rows = postings[pos].get(value_id)
-            if rows is None:
-                postings[pos][value_id] = [row]
-            else:
-                rows.append(row)
-            value = atom.args[pos]
-            dom[value] = dom.get(value, 0) + 1
-        self._version += 1
-        return True
+        return self.add_all((atom,)) == 1
 
     def add_all(self, atoms: Iterable[Atom]) -> int:
-        """Add many atoms; returns the number that were new."""
-        add = self.add
-        return sum(1 for atom in atoms if add(atom))
+        """Add many atoms; returns the number that were new.
+
+        The one insertion loop: the constructor and :meth:`add` come here
+        too, so checkpoint resume, which rebuilds instances tens of
+        thousands of atoms at a time, pays the attribute lookups once.
+        """
+        pool = self._pool
+        intern = pool.intern
+        intern_pred = pool.intern_pred
+        atoms_seen = self._atoms
+        facts_by_pid = self._facts
+        postings_by_pid = self._postings
+        dom = self._dom
+        added = 0
+        for atom in atoms:
+            if atom in atoms_seen:
+                continue
+            args = atom.args
+            key = tuple([intern(t) for t in args])
+            pid = intern_pred(atom.pred)
+            facts = facts_by_pid.get(pid)
+            if facts is None:
+                facts = facts_by_pid[pid] = {}
+                postings_by_pid[pid] = []
+            postings = postings_by_pid[pid]
+            if len(key) > len(postings):
+                # Mixed-arity predicates are unusual but never rejected:
+                # grow the per-position index to the widest fact.
+                postings.extend({} for _ in range(len(key) - len(postings)))
+            atoms_seen[atom] = None
+            facts[key] = atom
+            for pos, value_id in enumerate(key):
+                keys = postings[pos].get(value_id)
+                if keys is None:
+                    postings[pos][value_id] = [key]
+                else:
+                    keys.append(key)
+                value = args[pos]
+                dom[value] = dom.get(value, 0) + 1
+            added += 1
+        self._version += added
+        return added
 
     def discard(self, atom: Atom) -> bool:
-        """Remove an atom if present; returns True iff it was present.
-
-        Tombstoning: the columnar row stays (rows are append-only so ids
-        and watermarks never shift) but every live index forgets it.
-        """
+        """Remove an atom if present; returns True iff it was present."""
         if atom not in self._atoms:
             return False
         pool = self._pool
         pid = pool.pred_id_of(atom.pred)
-        key = tuple(pool.id_of(t) for t in atom.args)
-        row, order_pos = self._tuples[pid].pop(key)
-        self._atoms.discard(atom)
-        self._order[order_pos] = None
-        self._atom_rows[pid][row] = None
-        self._live_rows[pid].remove(row)
+        key = tuple([pool.id_of(t) for t in atom.args])
+        del self._atoms[atom]
+        del self._facts[pid][key]
         postings = self._postings[pid]
         dom = self._dom
         for pos, value_id in enumerate(key):
-            rows = postings[pos][value_id]
-            rows.remove(row)
-            if not rows:
+            keys = postings[pos][value_id]
+            keys.remove(key)
+            if not keys:
                 del postings[pos][value_id]
             value = atom.args[pos]
             count = dom[value] - 1
@@ -292,7 +193,7 @@ class Instance:
 
     @property
     def pool(self) -> InternPool:
-        """The intern pool backing this instance's columns."""
+        """The intern pool behind this instance's ids."""
         return self._pool
 
     def atoms(self) -> frozenset[Atom]:
@@ -301,66 +202,48 @@ class Instance:
 
     def atoms_with_pred(self, pred: str) -> set[Atom]:
         """All atoms over predicate *pred* (a fresh set — safe to mutate)."""
-        pid = self._pool.pred_id_of(pred)
-        if pid is None:
-            return set()
-        tuples = self._tuples.get(pid)
-        if not tuples:
-            return set()
-        atom_rows = self._atom_rows[pid]
-        return {atom_rows[row] for row in self._live_rows[pid]}
+        facts = self._facts.get(self._pool.pred_id_of(pred))
+        return set(facts.values()) if facts else set()
 
     def atoms_by_pred(self) -> dict[str, set[Atom]]:
-        """All atoms grouped by predicate (fresh sets).
-
-        The delta-driven chase keeps each level's freshly produced atoms in
-        an :class:`Instance` and uses this view to look up, per TGD body
-        atom, exactly the new facts that could seed a trigger — instead of
-        rescanning the whole frontier per body atom.
-        """
-        pool = self._pool
-        grouped: dict[str, set[Atom]] = {}
-        for pid, tuples in self._tuples.items():
-            if not tuples:
-                continue
-            atom_rows = self._atom_rows[pid]
-            grouped[pool.pred_of(pid)] = {
-                atom_rows[row] for row in self._live_rows[pid]
-            }
-        return grouped
+        """All atoms grouped by predicate (fresh sets)."""
+        pred_of = self._pool.pred_of
+        return {
+            pred_of(pid): set(facts.values())
+            for pid, facts in self._facts.items()
+            if facts
+        }
 
     def atoms_matching(self, pred: str, pos: int, value: Term) -> set[Atom]:
         """All atoms R(..) with R = pred and *value* at position *pos*."""
         pool = self._pool
         pid = pool.pred_id_of(pred)
-        if pid is None or pos >= self._arity.get(pid, 0):
+        postings = self._postings.get(pid)
+        if postings is None or pos >= len(postings):
             return set()
-        value_id = pool.id_of(value)
-        if value_id is None:
+        keys = postings[pos].get(pool.id_of(value))
+        if not keys:
             return set()
-        rows = self._postings[pid][pos].get(value_id)
-        if not rows:
-            return set()
-        atom_rows = self._atom_rows[pid]
-        return {atom_rows[row] for row in rows}
+        facts = self._facts[pid]
+        return {facts[key] for key in keys}
 
     def candidates(self, atom: Atom, bound: dict[Term, Term]) -> Iterable[Atom]:
         """Facts that could match the (possibly non-ground) *atom*.
 
         *bound* maps already-assigned source terms to target values.  The
         most selective available posting is used; unbound positions are not
-        filtered (the caller performs the final unification check).
+        filtered (the caller performs the final unification check).  The
+        result is a live view with ``len``: do not change the instance
+        while iterating it.
         """
         pool = self._pool
         pid = pool.pred_id_of(atom.pred)
-        if pid is None:
-            return ()
         # The pool is shared across instances, so a pred id may exist there
-        # without this instance holding any rows for it.
+        # without this instance holding any facts for it.
         postings = self._postings.get(pid)
         if postings is None:
             return ()
-        best: list[int] | None = None
+        best: list[tuple[int, ...]] | None = None
         for pos, term in enumerate(atom.args):
             # Only terms with a known image filter; the homomorphism search
             # seeds `bound` with the identity on all non-movable terms, so
@@ -371,17 +254,13 @@ class Instance:
                 continue
             if pos >= len(postings):
                 return ()
-            value_id = pool.id_of(value)
-            if value_id is None:
+            keys = postings[pos].get(pool.id_of(value))
+            if keys is None:
                 return ()
-            rows = postings[pos].get(value_id)
-            if rows is None:
-                return ()
-            if best is None or len(rows) < len(best):
-                best = rows
-        if best is None:
-            best = self._live_rows[pid]
-        return _RowView(self._atom_rows[pid], best)
+            if best is None or len(keys) < len(best):
+                best = keys
+        facts = self._facts[pid]
+        return facts.values() if best is None else _Postings(facts, best)
 
     def dom(self) -> set[Term]:
         """``dom(I)`` — the active domain (all constants occurring in atoms)."""
@@ -389,39 +268,15 @@ class Instance:
 
     def predicates(self) -> set[str]:
         """Predicates with at least one atom."""
-        pool = self._pool
-        return {pool.pred_of(pid) for pid, tuples in self._tuples.items() if tuples}
+        pred_of = self._pool.pred_of
+        return {pred_of(pid) for pid, facts in self._facts.items() if facts}
 
     def schema(self) -> Schema:
         """The schema inferred from the atoms present."""
         return Schema.from_atoms(self._atoms)
 
     # ------------------------------------------------------------------
-    # Columnar / wire access
-    # ------------------------------------------------------------------
-    def atoms_since(self, watermark: int) -> list[Atom]:
-        """Atoms appended after *watermark* (see :attr:`order_watermark`).
-
-        The process-parallel chase syncs workers incrementally: each level
-        ships exactly the atoms logged since the previous sync.  Discarded
-        slots are skipped; the watermark itself never shifts.
-        """
-        return [a for a in self._order[watermark:] if a is not None]
-
-    @property
-    def order_watermark(self) -> int:
-        """Cursor into the insertion log for :meth:`atoms_since`."""
-        return len(self._order)
-
-    def column(self, pred: str) -> array:
-        """The raw row-major id column for *pred* (includes tombstoned rows)."""
-        pid = self._pool.pred_id_of(pred)
-        if pid is None:
-            return array("q")
-        return self._cols[pid]
-
-    # ------------------------------------------------------------------
-    # Derived instances
+    # Derived instances (insertion order is kept)
     # ------------------------------------------------------------------
     def restrict(self, values: Iterable[Term]) -> "Instance":
         """``I|T`` — the restriction to atoms mentioning only *values*."""
@@ -442,7 +297,7 @@ class Instance:
 
     def union(self, other: "Instance") -> "Instance":
         merged = self.copy()
-        merged.add_all(other.atoms())
+        merged.add_all(other)
         return merged
 
     def gaifman_adjacency(self) -> dict[Term, set[Term]]:
@@ -511,16 +366,23 @@ class Instance:
         return len(self._atoms)
 
     def __iter__(self) -> Iterator[Atom]:
-        """Iterate in insertion order (deterministic, unlike set order)."""
-        return (a for a in self._order if a is not None)
+        """Iterate in insertion order (deterministic, unlike set order).
+
+        As with a dict, adding or discarding atoms while iterating raises
+        :class:`RuntimeError`; iterate over ``list(instance)`` to mutate.
+        """
+        return iter(self._atoms)
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, Instance) and self._atoms == other._atoms
+        return (
+            isinstance(other, Instance)
+            and self._atoms.keys() == other._atoms.keys()
+        )
 
     def __le__(self, other: "Instance") -> bool:
         if not isinstance(other, Instance):
             return NotImplemented
-        return self._atoms <= other._atoms
+        return self._atoms.keys() <= other._atoms.keys()
 
     def __hash__(self) -> int:  # pragma: no cover - rarely hashed
         return hash(frozenset(self._atoms))

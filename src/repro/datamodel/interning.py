@@ -4,9 +4,10 @@ The chase's hot loops — index probes, trigger dedupe, candidate merging —
 were all keyed on Python term objects, paying an object hash and an
 equality walk per probe.  An :class:`InternPool` maps every term (plain
 constant, labelled null, variable) and every predicate name to a dense
-``int`` exactly once; everything downstream — the columnar
-:class:`~repro.datamodel.Instance` storage, the per-position postings, the
-cross-process chase wire format — works over those ints.
+``int`` exactly once; everything downstream — the
+:class:`~repro.datamodel.Instance` fact maps keyed by id tuples, the
+per-position postings, the cross-process chase wire format — works over
+those ints.
 
 Identity discipline
 -------------------

@@ -4,19 +4,20 @@ The generic :func:`~repro.datamodel.find_homomorphisms` backtracking join
 works over Term objects — per candidate fact it zips argument tuples,
 hashes terms, and builds binding dicts.  For the chase trigger search this
 is pure overhead: TGD bodies are constant-free, so a body atom is nothing
-but a predicate plus a tuple of variable *slots*, and a fact is a tuple of
-term ids in the instance's columnar store.  This module compiles each TGD
-body once (:func:`compile_bodies`) and evaluates the semi-naive trigger
-search directly over ``Instance``'s interned rows: bindings are a flat
-``list[int | None]`` indexed by slot, index probes hit the int-keyed
-postings, and Term objects are materialised only for the homomorphisms
-that survive pivot dedupe.
+but a predicate plus a tuple of variable *slots*, and a fact is the tuple
+of term ids that keys it in the instance's per-predicate fact map.  This
+module compiles each TGD body once (:func:`compile_bodies`) and evaluates
+the semi-naive trigger search directly over ``Instance``'s id tuples:
+bindings are a flat ``list[int | None]`` indexed by slot, index probes
+hit the int-keyed postings, which hold the id tuples themselves, and Term
+objects are materialised only for the homomorphisms that survive pivot
+dedupe.
 
 Contract: :func:`delta_triggers_interned` is the chase's semi-naive
 trigger search (:func:`repro.chase.engine._delta_triggers`).  It
 enumerates every trigger whose body image touches the delta exactly once
 (the pivot rule), counts ``triggers_enumerated``/``triggers_deduped``,
-and checks the budget at ``"hom-backtrack"`` once per candidate row.
+and checks the budget at ``"hom-backtrack"`` once per candidate fact.
 Instance and delta must share one intern pool.  The naive strategy's
 Term-level search (:func:`repro.chase.engine._naive_triggers`) is the
 oracle the differential suite holds it to.
@@ -32,8 +33,9 @@ process-parallel chase ships back from worker shards.
 
 from __future__ import annotations
 
-from typing import Iterator, Mapping, Sequence
+from typing import Collection, Iterator, Mapping, Sequence
 
+from .atoms import Atom
 from .instances import Instance
 from .stats import EvalStats
 from .terms import Variable
@@ -42,7 +44,12 @@ if False:  # pragma: no cover - import cycle guard, typing only
     from ..governance import Budget
     from ..tgds import TGD
 
-__all__ = ["BodyProgram", "compile_bodies", "delta_triggers_interned"]
+__all__ = [
+    "BodyProgram",
+    "body_atoms",
+    "compile_bodies",
+    "delta_triggers_interned",
+]
 
 
 class BodyProgram:
@@ -73,6 +80,23 @@ def compile_bodies(
     return {index: BodyProgram(tgd) for index, tgd in pairs if tgd.body}
 
 
+def body_atoms(
+    instance: Instance, program: BodyProgram, ids: Sequence[int]
+) -> list[Atom]:
+    """The stored atoms a trigger's body maps onto, in body order.
+
+    *ids* is a candidate's binding in ``program.variables`` order, as the
+    trigger search yields it; each body atom is one read of the
+    per-predicate id-tuple map.
+    """
+    pred_id_of = instance.pool.pred_id_of
+    facts = instance._facts
+    return [
+        facts[pred_id_of(pred)][tuple([ids[s] for s in slots])]
+        for pred, slots in program.specs
+    ]
+
+
 def delta_triggers_interned(
     pairs: Sequence[tuple[int, "TGD"]],
     programs: Mapping[int, BodyProgram],
@@ -81,7 +105,7 @@ def delta_triggers_interned(
     stats: EvalStats,
     budget: "Budget | None" = None,
 ) -> Iterator[tuple[int, tuple[int, ...]]]:
-    """Semi-naive trigger search over interned rows (see module docstring).
+    """Semi-naive trigger search over interned facts (see module docstring).
 
     Yields ``(tgd_index, ids)`` with *ids* the homomorphism's term ids in
     ``BodyProgram.variables`` order (body variables sorted by name).  The
@@ -90,11 +114,9 @@ def delta_triggers_interned(
     duplicates count as ``triggers_deduped``.
     """
     pool = instance.pool
-    inst_tuples = instance._tuples
-    inst_keys = instance._keys
+    inst_facts = instance._facts
     inst_postings = instance._postings
-    inst_live = instance._live_rows
-    delta_tuples = delta._tuples
+    delta_facts = delta._facts
     check = budget.check if budget is not None else None
 
     for tgd_index, tgd in pairs:
@@ -107,7 +129,7 @@ def delta_triggers_interned(
         satisfiable = True
         for pred, _ in specs:
             pid = pool.pred_id_of(pred)
-            if pid is None or not inst_tuples.get(pid):
+            if pid is None or not inst_facts.get(pid):
                 satisfiable = False
                 break
             pids.append(pid)
@@ -123,7 +145,7 @@ def delta_triggers_interned(
                 stats.triggers_enumerated += 1
                 stats.homs_found += 1
                 for pid_j, slots_j in earlier:
-                    dmap = delta_tuples.get(pid_j)
+                    dmap = delta_facts.get(pid_j)
                     if dmap is not None and tuple(binding[s] for s in slots_j) in dmap:
                         # An earlier pivot position already produced (or
                         # will produce) this very trigger; count and skip.
@@ -132,14 +154,16 @@ def delta_triggers_interned(
                 yield tuple(binding)
                 return
             # Most constrained pending atom, one posting probe per atom —
-            # the interned analogue of the generic pick_dynamic.
+            # the interned analogue of the generic pick_dynamic.  A posting
+            # list holds id tuples; with no bound position the fact map's
+            # keys are the candidates.
             best_ai = pending[0]
-            best_rows: Sequence[int] | None = None
+            best_keys: Collection[tuple[int, ...]] | None = None
             for ai in pending:
                 pid = pids[ai]
                 slots = specs[ai][1]
                 postings = inst_postings[pid]
-                rows: Sequence[int] | None = None
+                keys: Collection[tuple[int, ...]] | None = None
                 nposting = len(postings)
                 for pos, slot in enumerate(slots):
                     value = binding[slot]
@@ -147,28 +171,26 @@ def delta_triggers_interned(
                         continue
                     plist = postings[pos].get(value) if pos < nposting else None
                     if plist is None:
-                        rows = ()
+                        keys = ()
                         break
-                    if rows is None or len(plist) < len(rows):
-                        rows = plist
+                    if keys is None or len(plist) < len(keys):
+                        keys = plist
                 stats.index_probes += 1
-                if rows is None:
-                    rows = inst_live[pid]
-                if best_rows is None or len(rows) < len(best_rows):
-                    best_ai, best_rows = ai, rows
-                    if not rows:
+                if keys is None:
+                    keys = inst_facts[pid]
+                if best_keys is None or len(keys) < len(best_keys):
+                    best_ai, best_keys = ai, keys
+                    if not keys:
                         break
-            if not best_rows:
+            if not best_keys:
                 return
-            pid = pids[best_ai]
             slots = specs[best_ai][1]
             nslots = len(slots)
-            keys = inst_keys[pid]
-            # The binding state is identical for every row at this depth
-            # (each row's slots are unbound again before the next), so the
-            # row filter compiles once: positions that must equal an
+            # The binding state is identical for every fact at this depth
+            # (each fact's slots are unbound again before the next), so the
+            # fact filter compiles once: positions that must equal an
             # already-bound value, first occurrences of unbound slots, and
-            # repeated unbound slots that must agree within the row.
+            # repeated unbound slots that must agree within the fact.
             bound_checks = []
             free_pairs = []
             dup_checks = []
@@ -184,13 +206,12 @@ def delta_triggers_interned(
                     first_pos[slot] = pos
                     free_pairs.append((pos, slot))
             # The last pending atom completes the hom inline — a recursive
-            # generator per matched row would dominate the join's cost.
+            # generator per matched fact would dominate the join's cost.
             last = len(pending) == 1
             rest = None if last else [ai for ai in pending if ai != best_ai]
-            for row in best_rows:
+            for key in best_keys:
                 if check is not None:
                     check("hom-backtrack")
-                key = keys[row]
                 ok = len(key) == nslots
                 if ok:
                     for pos, value in bound_checks:
@@ -212,7 +233,7 @@ def delta_triggers_interned(
                     stats.homs_found += 1
                     duplicate = False
                     for pid_j, slots_j in earlier:
-                        dmap = delta_tuples.get(pid_j)
+                        dmap = delta_facts.get(pid_j)
                         if (
                             dmap is not None
                             and tuple([binding[s] for s in slots_j]) in dmap
@@ -230,7 +251,7 @@ def delta_triggers_interned(
                     binding[slot] = None
 
         for pivot in range(natoms):
-            dmap = delta_tuples.get(pids[pivot])
+            dmap = delta_facts.get(pids[pivot])
             if not dmap:
                 continue
             pivot_slots = specs[pivot][1]

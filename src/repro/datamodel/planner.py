@@ -65,7 +65,7 @@ ADAPTIVE_THRESHOLD = 64
 class InstanceStats:
     """Cardinality/selectivity statistics for one instance state.
 
-    Built in one pass over the atoms and cached on the instance itself
+    Read off the instance's indexes and cached on the instance itself
     (see :func:`instance_stats`); any mutation bumps
     :attr:`Instance.version` and lazily invalidates the cache.  Also owns
     the compiled-plan cache for this instance state: a plan's ordering
@@ -101,20 +101,23 @@ class InstanceStats:
 
     @classmethod
     def build(cls, instance: Instance) -> "InstanceStats":
-        """One pass over the instance: per-predicate counts and distincts."""
+        """Counts and distincts read off the store's indexes, not its atoms.
+
+        A predicate's count is the size of its id-tuple map, and a
+        position's distinct count the number of values in its postings; a
+        position no live fact reaches has no entry.
+        """
+        pred_of = instance.pool.pred_of
         pred_counts: dict[str, int] = {}
         distinct: dict[tuple[str, int], int] = {}
-        for pred in instance.predicates():
-            atoms = instance.atoms_with_pred(pred)
-            pred_counts[pred] = len(atoms)
-            seen: list[set[Term]] = []
-            for atom in atoms:
-                while len(seen) < atom.arity:
-                    seen.append(set())
-                for pos, value in enumerate(atom.args):
-                    seen[pos].add(value)
-            for pos, values in enumerate(seen):
-                distinct[(pred, pos)] = len(values)
+        for pid, facts in instance._facts.items():
+            if not facts:
+                continue
+            pred = pred_of(pid)
+            pred_counts[pred] = len(facts)
+            for pos, index in enumerate(instance._postings[pid]):
+                if index:
+                    distinct[(pred, pos)] = len(index)
         return cls(instance.version, pred_counts, distinct)
 
 

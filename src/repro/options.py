@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import dataclasses
 import os
+import sys
 import warnings
 from dataclasses import dataclass
 from typing import ClassVar, Union
@@ -89,6 +90,29 @@ class ThreadPool:
 Parallelism = Union[ProcessPool, ThreadPool, int, None]
 
 
+#: The top-level package name: frames whose module lies under it are ours.
+_PACKAGE = __name__.partition(".")[0]
+
+
+def _warn_deprecated(message: str) -> None:
+    """Emit a DeprecationWarning at the first stack frame outside the package.
+
+    The markers reach :func:`resolve_parallelism` through ``chase()``,
+    ``EvalOptions``, ``Engine`` and the service, each at a different depth;
+    a fixed ``stacklevel`` lands inside the package for most of them, and
+    Python's default filters hide a DeprecationWarning attributed there.
+    """
+    frame = sys._getframe(1)
+    level = 2  # stacklevel 2 is this function's caller, i.e. *frame*
+    while frame is not None:
+        module = frame.f_globals.get("__name__", "")
+        if module != _PACKAGE and not module.startswith(_PACKAGE + "."):
+            break
+        frame = frame.f_back
+        level += 1
+    warnings.warn(message, DeprecationWarning, stacklevel=level)
+
+
 def resolve_parallelism(parallelism: Parallelism) -> tuple[str, int]:
     """Normalise a ``parallelism=`` value to ``(kind, workers)``.
 
@@ -103,12 +127,10 @@ def resolve_parallelism(parallelism: Parallelism) -> tuple[str, int]:
     if parallelism is None:
         return ("serial", 1)
     if isinstance(parallelism, ThreadPool):
-        warnings.warn(
+        _warn_deprecated(
             f"{parallelism!r} is deprecated and runs serially (thread shards "
             "never beat the serial trigger search); pass None, or "
-            "ProcessPool(n) to shard across processes",
-            DeprecationWarning,
-            stacklevel=3,
+            "ProcessPool(n) to shard across processes"
         )
         return ("serial", 1)
     if isinstance(parallelism, ProcessPool):
@@ -125,12 +147,10 @@ def resolve_parallelism(parallelism: Parallelism) -> tuple[str, int]:
         raise ValueError(f"parallelism must be >= 1 or None, got {parallelism}")
     if parallelism == 1:
         return ("serial", 1)
-    warnings.warn(
+    _warn_deprecated(
         f"parallelism={parallelism} as a bare int now means {parallelism} "
         "worker *processes* (it used to mean threads) and will require a "
-        f"marker in the next release; spell it ProcessPool({parallelism})",
-        DeprecationWarning,
-        stacklevel=3,
+        f"marker in the next release; spell it ProcessPool({parallelism})"
     )
     return ("process", parallelism)
 

@@ -90,8 +90,8 @@ def estimate_cost(query) -> dict:
     Treewidth upper bound (min-fill/min-degree, per disjunct) plus body
     size — the fragments the paper proves tractable are exactly the
     bounded-width ones, so a high bound predicts an expensive
-    homomorphism search.  Returns ``{"width", "size", "expensive"}``
-    with ``expensive`` left for the caller's threshold.
+    homomorphism search.  Returns ``{"width", "size"}``; the caller
+    applies its own threshold.
     """
     inner = getattr(query, "query", query)  # OMQ/CQS carry .query
     cqs = getattr(inner, "disjuncts", None)

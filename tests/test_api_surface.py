@@ -9,13 +9,17 @@ Two guards on the API freeze:
   ``Term``/``Atom`` *internals* (``repro.datamodel.terms`` /
   ``repro.datamodel.atoms``) directly instead of going through the
   ``repro.datamodel`` package facade.  New code must use the facade —
-  extending the allowlist is a reviewed decision, not an accident.
+  extending the allowlist is a reviewed decision, not an accident;
+* a second grep-lint keeps the fact store's layout inside
+  ``repro.datamodel``: no module outside that package reads a private
+  field of :class:`~repro.datamodel.Instance`.
 """
 
 import re
 from pathlib import Path
 
 import repro
+from repro.datamodel import Instance
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
 
@@ -43,6 +47,16 @@ _INTERNAL_IMPORT = re.compile(
     r"^\s*(?:from|import)\s+(?:repro\.)?(?:\.+)?datamodel\.(?:terms|atoms)\b"
     r"|^\s*from\s+\.\.?(?:terms|atoms)\s+import",
     re.MULTILINE,
+)
+
+
+#: A read of one of Instance's private fields on anything but ``self``.
+_INSTANCE_PRIVATE = re.compile(
+    r"\b(?!self\b)\w+\.(?:"
+    + "|".join(
+        re.escape(name) for name in Instance.__slots__ if name.startswith("_")
+    )
+    + r")\b"
 )
 
 
@@ -133,3 +147,34 @@ class TestImportHygiene:
             "from .interning import InternPool",
         ):
             assert not _INTERNAL_IMPORT.search(line), line
+
+
+class TestStoreEncapsulation:
+    def test_no_private_instance_reads_outside_datamodel(self):
+        """Only repro.datamodel knows the store's layout; elsewhere, add an
+        accessor there (as joins.body_atoms does for the chase)."""
+        offenders = []
+        for path in sorted(SRC.rglob("*.py")):
+            rel = path.relative_to(SRC).as_posix()
+            if rel.startswith("datamodel/"):
+                continue
+            for number, line in enumerate(path.read_text().splitlines(), 1):
+                if _INSTANCE_PRIVATE.search(line):
+                    offenders.append(f"{rel}:{number}: {line.strip()}")
+        assert not offenders, "\n".join(offenders)
+
+    def test_lint_actually_detects(self):
+        for line in (
+            "inst_facts = instance._facts",
+            "row = delta._postings[pid]",
+            "if atom in db._atoms:",
+            "cached = result.instance._stats_cache",
+        ):
+            assert _INSTANCE_PRIVATE.search(line), line
+        for line in (
+            "self._pool = pool",
+            "pool = instance.pool",
+            "levels[atom] for atom in body_atoms(instance, program, ids)",
+            "self._facts_seen = {}",
+        ):
+            assert not _INSTANCE_PRIVATE.search(line), line

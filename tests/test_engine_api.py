@@ -161,6 +161,32 @@ class TestDeprecations:
             assert result.ground_part().atoms() == oracle.ground_part().atoms()
             assert is_isomorphic(result.instance, oracle.instance)
 
+    def test_warnings_name_the_callers_line(self, workload):
+        """The default filters show a DeprecationWarning only when it is
+        attributed outside the package, so each path must point here."""
+        import warnings
+
+        tgds, db = workload
+        calls = {
+            "EvalOptions(ThreadPool)": lambda: EvalOptions(
+                parallelism=ThreadPool(2)
+            ),
+            "EvalOptions(int)": lambda: EvalOptions(parallelism=2),
+            "Engine.chase": lambda: Engine(
+                tgds, parallelism=ThreadPool(2)
+            ).chase(db),
+        }
+        for name, call in calls.items():
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                call()
+            deprecations = [
+                w for w in caught if issubclass(w.category, DeprecationWarning)
+            ]
+            assert deprecations, name
+            for w in deprecations:
+                assert w.filename == __file__, (name, w.filename)
+
     def test_markers_do_not_warn(self, workload):
         import warnings
 

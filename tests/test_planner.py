@@ -59,6 +59,37 @@ class TestInstanceStats:
         instance.add(Atom("Small", ("a0",)))  # already present
         assert instance_stats(instance) is first
 
+    def test_counts_equal_a_brute_force_count_after_discards(self):
+        instance = skewed_instance()
+        for i in range(6):
+            short = tuple(f"m{j % 3}" for j in range(i % 4))  # arity 0–3
+            instance.add(Atom("Mixed", short))
+            instance.add(Atom("Mixed", (f"x{i}", "y", f"z{i % 2}", "w")))
+        instance.add(Atom("Gone", ("g",)))
+        # Discarding the only wide fact leaves positions no live fact reaches.
+        instance.add(Atom("Wide", ("p",)))
+        instance.add(Atom("Wide", ("p", "q", "r")))
+        for atom in [
+            Atom("Gone", ("g",)),
+            Atom("Wide", ("p", "q", "r")),
+            Atom("Big", ("a0", "b0")),
+            Atom("Big", ("a0", "b12")),
+            Atom("Mixed", ("x1", "y", "z1", "w")),
+            Atom("Mixed", ("x3", "y", "z1", "w")),
+            Atom("Mixed", ("x5", "y", "z1", "w")),
+        ]:
+            assert instance.discard(atom)
+
+        pred_counts: dict[str, int] = {}
+        values: dict[tuple[str, int], set] = {}
+        for atom in instance:
+            pred_counts[atom.pred] = pred_counts.get(atom.pred, 0) + 1
+            for pos, value in enumerate(atom.args):
+                values.setdefault((atom.pred, pos), set()).add(value)
+        stats = instance_stats(instance)
+        assert stats.pred_counts == pred_counts
+        assert stats.distinct == {key: len(seen) for key, seen in values.items()}
+
 
 class TestEstimates:
     def test_unbound_atom_scans_the_predicate(self):
