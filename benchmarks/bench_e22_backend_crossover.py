@@ -39,6 +39,8 @@ LINEAR_SIZES = ((4, 120), (8, 240), (12, 400))
 #: Full column: chain length n for transitive closure (O(n^2) P atoms).
 FULL_SIZES = (40, 70, 100)
 REPEATS = 3
+#: The timed legs, run in this order on every repeat.
+LEGS = ("chase", "datalog", "sql")
 JSON_PATH = Path(__file__).resolve().parent.parent / "BENCH_backends.json"
 
 
@@ -58,13 +60,19 @@ def _full_workload(n: int):
     return omq, db
 
 
-def _best_of(repeats: int, fn, *args):
-    """(last result, fastest seconds) — repetition damps scheduler noise."""
-    best = float("inf")
+def _interleaved_best_of(repeats: int, omq, db) -> dict:
+    """backend -> (last result, fastest seconds).
+
+    The backends run in turn on each repeat, so a slow stretch of the
+    host lands on every leg alike instead of on whichever ran last;
+    the best of *repeats* damps the remaining scheduler noise.
+    """
+    best = {backend: (None, float("inf")) for backend in LEGS}
     for _ in range(repeats):
-        result, seconds = timed(fn, *args)
-        best = min(best, seconds)
-    return result, best
+        for backend in LEGS:
+            result, seconds = timed(_run_backend, omq, db, backend)
+            best[backend] = (result, min(best[backend][1], seconds))
+    return best
 
 
 def _run_backend(omq, db, backend):
@@ -79,11 +87,10 @@ def run(linear_sizes=LINEAR_SIZES, full_sizes=FULL_SIZES) -> list[dict]:
 
     for depth, n_facts in linear_sizes:
         omq, db = _linear_workload(depth, n_facts)
-        chase_ans, chase_s = _best_of(REPEATS, _run_backend, omq, db, "chase")
-        sql_ans, sql_s = _best_of(REPEATS, _run_backend, omq, db, "sql")
-        datalog_ans, datalog_s = _best_of(
-            REPEATS, _run_backend, omq, db, "datalog"
-        )
+        timings = _interleaved_best_of(REPEATS, omq, db)
+        chase_ans, chase_s = timings["chase"]
+        datalog_ans, datalog_s = timings["datalog"]
+        sql_ans, sql_s = timings["sql"]
         assert chase_ans.complete and sql_ans.complete
         assert set(sql_ans.answers) == set(chase_ans.answers)
         if datalog_ans.complete:
@@ -114,11 +121,10 @@ def run(linear_sizes=LINEAR_SIZES, full_sizes=FULL_SIZES) -> list[dict]:
 
     for n in full_sizes:
         omq, db = _full_workload(n)
-        chase_ans, chase_s = _best_of(REPEATS, _run_backend, omq, db, "chase")
-        datalog_ans, datalog_s = _best_of(
-            REPEATS, _run_backend, omq, db, "datalog"
-        )
-        sql_ans, sql_s = _best_of(REPEATS, _run_backend, omq, db, "sql")
+        timings = _interleaved_best_of(REPEATS, omq, db)
+        chase_ans, chase_s = timings["chase"]
+        datalog_ans, datalog_s = timings["datalog"]
+        sql_ans, sql_s = timings["sql"]
         assert chase_ans.complete and datalog_ans.complete and sql_ans.complete
         assert (
             set(chase_ans.answers)

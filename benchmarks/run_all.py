@@ -10,8 +10,10 @@ Usage::
 
 With ``--timeout`` each experiment runs in a forked child process under a
 watchdog; an experiment that exceeds the wall-clock limit is killed and
-reported as a ``TIMEOUT`` row (a crash becomes a ``CRASH`` row), and the
-harness moves on to the next experiment instead of hanging the whole run.
+reported as a ``TIMEOUT`` row, and the harness moves on to the next
+experiment instead of hanging the whole run.  With or without the
+watchdog, an experiment that raises (a failed gate, a crash) becomes a
+``CRASH`` row and the run continues.
 """
 
 import ast
@@ -20,6 +22,7 @@ import json
 import multiprocessing
 import sys
 import time
+import traceback
 from pathlib import Path
 
 HERE = Path(__file__).parent
@@ -64,10 +67,14 @@ def run_experiment(path: Path, timeout: float | None):
 
     ``status`` is "ok" (payload = rows), "timeout" (payload = the limit), or
     "crash" (payload = an error string).  Without a timeout the module runs
-    in-process, exactly as before.
+    in-process.
     """
     if timeout is None:
-        return "ok", load(path).run()
+        try:
+            return "ok", load(path).run()
+        except Exception as exc:  # noqa: BLE001 - report, don't swallow
+            traceback.print_exc()
+            return "crash", f"{type(exc).__name__}: {exc}"
     ctx = multiprocessing.get_context(
         "fork" if "fork" in multiprocessing.get_all_start_methods() else None
     )

@@ -51,7 +51,7 @@ from .governance import Budget
 from .governance.checkpoint import CheckpointError, validate_tgds
 from .storage import StorageError
 from .omq import OMQ, certain_answers
-from .options import ProcessPool
+from .options import BACKENDS, ProcessPool
 from .queries import parse_database, parse_ucq
 from .tgds import classify, is_weakly_acyclic, parse_tgds
 
@@ -137,7 +137,7 @@ def _add_engine_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--backend",
         default="chase",
-        choices=["chase", "datalog", "sql", "auto"],
+        choices=BACKENDS,
         help="evaluation backend: 'chase' (default, every fragment), "
         "'datalog' (semi-naive saturation; full or guarded Σ), 'sql' "
         "(SQLite pushdown; linear single-head or full Σ), or 'auto' "

@@ -4,10 +4,12 @@
 :class:`DatalogProgram`; :func:`saturate` computes its least model by
 running the semi-naive delta chase (:func:`repro.chase.chase`) over the
 rules — the chase is the one semi-naive engine.  The OMQ-level backends
-(:mod:`repro.datalog.backend` — Datalog saturation and SQLite pushdown
-behind ``repro.evaluate(..., backend=)``) also pull in the OMQ layer and
-SQL compiler, and are therefore exposed lazily (PEP 562), keeping
-``import repro.datalog`` light.
+(:mod:`repro.datalog.backend` — Datalog saturation for full Σ, the
+chase's ``"guarded"`` strategy for guarded Σ with existentials, and
+SQLite pushdown, behind ``repro.evaluate(..., backend=)``) also pull in
+the OMQ layer and SQL compiler, and are therefore exposed lazily
+(PEP 562), keeping ``import repro.datalog`` light.  ``BACKENDS`` is a
+re-export of :data:`repro.options.BACKENDS`.
 """
 
 from __future__ import annotations

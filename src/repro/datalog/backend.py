@@ -7,12 +7,12 @@ fixpoint work elsewhere:
 * **datalog** — full Σ saturates in-memory through :func:`saturate`,
   which runs the semi-naive delta chase over the compiled rules (the
   semi-oblivious chase of a full TGD set invents no nulls, so the least
-  model *is* the chase instance); guarded Σ with existential heads runs
-  a hybrid: the blocked-chase type machinery
-  (:func:`~repro.chase.saturated_expansion`) supplies the sound chase
-  portion with its witnesses, and the compiled full-rule subset is then
-  saturated over it.  Exactness follows ``provably_exact`` of the
-  expansion, exactly as the ``"guarded"`` chase strategy reports it.
+  model *is* the chase instance).  Guarded Σ with existential heads is
+  the chase route's ``"guarded"`` strategy: the blocked expansion
+  (:func:`~repro.chase.saturated_expansion`) is built from Sec 6.2's type
+  closures, which are already closed under Σ's full rules, so no
+  saturation pass is left to run over it.  Exactness follows
+  ``provably_exact`` of the expansion.
 * **sql** — linear single-head Σ evaluates its perfect rewriting
   (Prop D.2) inside SQLite, so *no* materialisation happens at all; full
   Σ pushes the whole saturation into SQLite
@@ -26,7 +26,9 @@ policy) never picks an unsound backend — the property suite asserts it.
 
 Governance and telemetry mirror the chase route: the same
 :class:`~repro.governance.Budget` object governs materialisation and
-answer extraction (grace budget after a trip), counters land in the same
+answer extraction (:func:`~repro.omq.evaluation.answer_step` and its
+sqlite twin :func:`~repro.queries.sql.sqlite_answer_step` grant a grace
+budget after a trip), counters land in the same
 :class:`~repro.datamodel.EvalStats`, and completed materialisations are
 memoised in the shared :class:`~repro.chase.ChaseCache` under a
 backend-tagged key.
@@ -34,18 +36,17 @@ backend-tagged key.
 
 from __future__ import annotations
 
-from ..chase import ChaseCache, rewrite_ucq, saturated_expansion
+from ..chase import ChaseCache, rewrite_ucq
 from ..datamodel import Atom, EvalStats, Instance
 from ..governance import Budget, BudgetExceeded
-from ..omq import OMQ, OMQAnswer
-from ..omq.evaluation import _evaluate_partial, _restrict_to_database
-from ..queries import UCQ
+from ..omq import OMQ, OMQAnswer, certain_answers
+from ..omq.evaluation import answer_step
+from ..options import BACKENDS
 from ..queries.sql import (
     _ident as _sql_ident,
-    evaluate_via_sqlite,
-    execute_ucq,
     load_into_sqlite,
     saturate_in_sqlite,
+    sqlite_answer_step,
 )
 from ..tgds import TGD, all_full, all_guarded, all_linear
 from .program import DatalogProgram, compile_program
@@ -58,9 +59,6 @@ __all__ = [
     "datalog_certain_answers",
     "sql_certain_answers",
 ]
-
-#: The backend names ``evaluate(..., backend=)`` accepts.
-BACKENDS = ("auto", "chase", "datalog", "sql")
 
 
 class BackendUnsupported(ValueError):
@@ -93,16 +91,17 @@ def choose_backend(tgds) -> str:
     Measured on E22 (``BENCH_backends.json``):
 
     * linear single-head Σ goes to SQL — the perfect rewriting runs over
-      ``D`` with nothing materialised, 9.6–16× faster than the chase on
+      ``D`` with nothing materialised, 7–18× faster than the chase on
       the linear rows;
     * full Σ goes to ``datalog``, whose saturation *is* the delta chase
       over the compiled rules, so it costs what the chase route costs
-      (full-tc, n=100: 0.81 s vs 0.78 s).  In-database saturation is
-      faster on that row (0.17 s); moving full Σ to SQL is an open
+      (full-tc, n=100: 0.75 s vs 0.86 s).  In-database saturation is
+      faster on that row (0.15 s); moving full Σ to SQL is an open
       decision that needs a service-level measurement first;
     * everything else, an empty Σ included, stays on the chase, which
-      covers every fragment — the ``datalog`` hybrid for guarded Σ is
-      13–25× slower than the chase on the linear rows.
+      covers every fragment — ``datalog`` on guarded Σ with existentials
+      runs the blocked expansion of the ``"guarded"`` strategy, 15–27×
+      slower than the chase on the linear rows.
     """
     tgds = list(tgds)
     if tgds and all_full(tgds):
@@ -128,123 +127,69 @@ def datalog_certain_answers(
 ) -> OMQAnswer:
     """Certain answers via Datalog saturation (:func:`saturate`).
 
-    Full Σ: exact.  Guarded Σ with existentials: sound always, complete
-    when the blocked expansion closed without blocking (the same
-    calibration as the chase route's ``"guarded"`` strategy).  Other
-    fragments raise :class:`BackendUnsupported`.
+    Full Σ: exact.  Guarded Σ with existentials: the chase route's
+    ``"guarded"`` strategy (*unfold* and *max_nodes* are its knobs) —
+    sound always, complete when the blocked expansion closed without
+    blocking.  Other fragments raise :class:`BackendUnsupported`.
     """
-    omq.validate_database(database)
     tgds = list(omq.tgds)
-    if stats is None:
-        stats = EvalStats()
     if not _supports("datalog", tgds):
         raise BackendUnsupported(
             "the datalog backend needs Σ full (exact saturation) or "
-            "guarded (blocked-chase hybrid); use backend='chase' for "
+            "guarded (the guarded strategy); use backend='chase' for "
             f"this fragment ({len(tgds)} TGDs)"
         )
-
-    if not tgds or all_full(tgds):
-        program = compile_program(tgds)
-        trip: str | None = None
-        try:
-            if cache is not None:
-                instance = cache.materialise(
-                    database,
-                    tgds,
-                    backend="datalog",
-                    compute=lambda: saturate(
-                        database, program, stats=stats, budget=budget
-                    ).instance,
-                )
-            else:
-                instance = saturate(
-                    database, program, stats=stats, budget=budget
-                ).instance
-        except BudgetExceeded as exc:
-            if budget is None or exc.partial is None:
-                raise
-            instance = exc.partial
-            trip = exc.code
-        eval_budget = budget.grace() if trip and budget is not None else budget
-        raw, eval_trip = _evaluate_partial(
-            omq.query, instance, stats=stats, budget=eval_budget, plan=plan
-        )
-        trip = trip or eval_trip
-        return OMQAnswer(
-            # Full Σ invents no nulls: every value already lies in dom(D),
-            # so no restriction is needed.
-            raw,
-            trip is None,
-            "datalog",
-            f"{len(program)} rules, {len(program.strata)} strata, "
-            f"{len(instance)} atoms",
+    if tgds and not all_full(tgds):
+        return certain_answers(
+            omq,
+            database,
+            strategy="guarded",
+            unfold=unfold,
+            max_nodes=max_nodes,
             stats=stats,
-            trip=trip,
+            budget=budget,
+            plan=plan,
         )
-
-    # Guarded hybrid: blocked-chase types supply the existential
-    # witnesses; the full-rule subset then saturates over that portion.
-    calibration = unfold if unfold is not None else max(
-        2, omq.query.max_cq_variables()
-    )
-    expansion = saturated_expansion(
-        database,
-        tgds,
-        unfold=calibration,
-        max_nodes=max_nodes,
-        stats=stats,
-        budget=budget,
-    )
-    program = compile_program([t for t in tgds if t.is_full()])
-    trip = expansion.trip_reason
-    sat_budget = budget.grace() if trip and budget is not None else budget
+    omq.validate_database(database)
+    if stats is None:
+        stats = EvalStats()
+    program = compile_program(tgds)
+    trip: str | None = None
     try:
-        instance = saturate(
-            expansion.instance, program, stats=stats, budget=sat_budget
-        ).instance
+        if cache is not None:
+            instance = cache.materialise(
+                database,
+                tgds,
+                backend="datalog",
+                compute=lambda: saturate(
+                    database, program, stats=stats, budget=budget
+                ).instance,
+            )
+        else:
+            instance = saturate(database, program, stats=stats, budget=budget).instance
     except BudgetExceeded as exc:
-        if sat_budget is None or exc.partial is None:
+        if budget is None or exc.partial is None:
             raise
         instance = exc.partial
-        trip = trip or exc.code
-    eval_budget = budget.grace() if trip and budget is not None else budget
-    raw, eval_trip = _evaluate_partial(
-        omq.query, instance, stats=stats, budget=eval_budget, plan=plan
-    )
-    trip = trip or eval_trip
-    return OMQAnswer(
-        _restrict_to_database(raw, database),
-        expansion.provably_exact and trip is None,
+        trip = exc.code
+    # Full Σ invents no nulls: every value already lies in dom(D), so no
+    # restriction is needed.
+    return answer_step(
+        omq.query,
+        instance,
         "datalog",
-        f"hybrid: {expansion.nodes} nodes, unfold={calibration}, "
-        f"blocked={expansion.blocked}, {len(program)} full rules",
+        f"{len(program)} rules, {len(program.strata)} strata, "
+        f"{len(instance)} atoms",
         stats=stats,
+        budget=budget,
         trip=trip,
+        plan=plan,
     )
 
 
 # ----------------------------------------------------------------------
 # SQL pushdown backend
 # ----------------------------------------------------------------------
-def _execute_governed(
-    query: UCQ,
-    database: Instance,
-    *,
-    stats: EvalStats,
-    budget: Budget | None,
-) -> tuple[set, str | None]:
-    """``evaluate_via_sqlite`` with the governed-degradation contract."""
-    try:
-        return (
-            evaluate_via_sqlite(query, database, stats=stats, budget=budget),
-            None,
-        )
-    except BudgetExceeded as exc:
-        exc.attach(stats=stats)
-        return (exc.partial if exc.partial is not None else set()), exc.code
-
-
 def _read_back(connection, program: DatalogProgram, arities: dict) -> Instance:
     """The saturated table contents as an Instance (for cache storage)."""
     atoms = []
@@ -321,11 +266,9 @@ def sql_certain_answers(
             rewriting = exc.partial
             trip = exc.code
             exc.attach(stats=stats)
-        eval_budget = budget.grace() if trip and budget is not None else budget
-        answers, eval_trip = _execute_governed(
-            rewriting, database, stats=stats, budget=eval_budget
+        answers, trip = sqlite_answer_step(
+            rewriting, database, stats=stats, budget=budget, trip=trip
         )
-        trip = trip or eval_trip
         return OMQAnswer(
             answers,
             trip is None,
@@ -382,22 +325,14 @@ def sql_certain_answers(
             # sound facts; evaluate over them under grace.
             trip = exc.code
             exc.attach(stats=stats)
-        eval_budget = budget.grace() if trip and budget is not None else budget
-        answers: set = set()
-        eval_trip: str | None = None
-        try:
-            answers = execute_ucq(
-                connection,
-                omq.query,
-                present=set(schema.predicates()) | database.predicates(),
-                stats=stats,
-                budget=eval_budget,
-            )
-        except BudgetExceeded as exc:
-            eval_trip = exc.code
-            if exc.partial is not None:
-                answers = exc.partial
-        trip = trip or eval_trip
+        answers, trip = sqlite_answer_step(
+            omq.query,
+            connection,
+            present=set(schema.predicates()) | database.predicates(),
+            stats=stats,
+            budget=budget,
+            trip=trip,
+        )
         return OMQAnswer(
             answers,
             trip is None,

@@ -139,8 +139,8 @@ def compile_program(tgds: Sequence[TGD]) -> DatalogProgram:
         if not tgd.is_full():
             raise ValueError(
                 f"cannot compile {tgd!r} to Datalog: existential heads are "
-                "not expressible; route guarded Σ through the datalog "
-                "backend's blocked-chase hybrid instead"
+                "not expressible; evaluate guarded Σ with the chase's "
+                "'guarded' strategy instead (backend='datalog' does so)"
             )
         for single in tgd.split_head():
             rules.append(

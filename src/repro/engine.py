@@ -54,7 +54,7 @@ from .datamodel import EvalStats, Instance, JoinPlan, plan_for
 from .governance import Budget
 from .governance.checkpoint import ChaseCheckpoint, validate_tgds
 from .omq import OMQ, OMQAnswer, certain_answers as _certain_answers
-from .options import EvalOptions, Parallelism
+from .options import EvalOptions, Parallelism, check_backend
 from .queries import CQ, UCQ
 from .tgds import TGD
 
@@ -142,12 +142,7 @@ class Engine:
         self.parallelism = parallelism
         self.trigger_strategy = trigger_strategy
         self.plan = plan
-        if backend not in ("chase", "datalog", "sql", "auto"):
-            raise ValueError(
-                f"unknown backend {backend!r}; expected one of "
-                "'chase', 'datalog', 'sql', 'auto'"
-            )
-        self.backend = backend
+        self.backend = check_backend(backend)
         self._stats_lock = threading.Lock()
         self._session_stats = EvalStats()
 
@@ -240,38 +235,31 @@ class Engine:
         *query* may be a full :class:`OMQ` (its TGDs must equal the
         session's) or a bare (U)CQ, which is paired with the session Σ over
         the full data schema.  *backend* overrides the session's backend
-        for this call (``"chase"``/``"datalog"``/``"sql"``/``"auto"``);
-        *strategy* only applies to the chase backend.  Remaining kwargs
-        (``level_bound=``, ``unfold=``, ...) are forwarded to
-        :func:`repro.omq.certain_answers`.
+        for this call (``"chase"``/``"datalog"``/``"sql"``/``"auto"``).
+        The session knobs and *strategy* reach :func:`repro.evaluate` as
+        one :class:`~repro.options.EvalOptions`, so they apply whenever the
+        chase runs, ``"auto"`` picking it included.  Remaining kwargs
+        (``level_bound=``, ``unfold=``, ...) are forwarded to the backend.
         """
-        omq = self._as_omq(query)
-        local = EvalStats()
-        backend = backend if backend is not None else self.backend
-        try:
-            if backend != "chase":
-                from .evaluation import _backend_certain_answers
+        from .evaluation import evaluate
 
-                return _backend_certain_answers(
-                    omq,
-                    database,
-                    backend,
-                    plan=self.plan,
-                    stats=local,
-                    budget=self._budget(budget),
-                    cache=self.cache,
-                    **kwargs,
-                )
-            kwargs.setdefault("plan", self.plan)
-            return _certain_answers(
+        omq = self._as_omq(query)
+        options = EvalOptions(
+            strategy=strategy,
+            trigger_strategy=self.trigger_strategy,
+            plan=self.plan,
+            backend=backend if backend is not None else self.backend,
+            parallelism=self.parallelism,
+        )
+        local = EvalStats()
+        try:
+            return evaluate(
                 omq,
                 database,
-                strategy=strategy,
-                trigger_strategy=self.trigger_strategy,
+                options=options,
                 stats=local,
                 budget=self._budget(budget),
                 cache=self.cache,
-                parallelism=self.parallelism,
                 **kwargs,
             )
         finally:
@@ -298,20 +286,16 @@ class Engine:
         runs the joins in sqlite3 (same answers, different engine), every
         other backend uses the in-memory homomorphism search.
         """
-        from .evaluation import _closed_world_sql, closed_world_answer
+        from .evaluation import closed_world_answer
 
         if plan is _SESSION_DEFAULT:
             plan = self.plan
-        backend = backend if backend is not None else self.backend
         local = EvalStats()
         try:
-            if backend == "sql":
-                return _closed_world_sql(
-                    query, database, stats=local, budget=self._budget(budget)
-                )
             return closed_world_answer(
                 query,
                 database,
+                backend=backend if backend is not None else self.backend,
                 plan=plan,
                 stats=local,
                 budget=self._budget(budget),

@@ -29,24 +29,28 @@ behaviour changed underneath them.
 Backends
 --------
 
-``evaluate(..., backend=)`` selects the evaluation engine:
+``evaluate(..., backend=)`` selects the evaluation engine, one of
+:data:`repro.options.BACKENDS`:
 
 =============  ========================================================
 ``"chase"``    (default) the in-memory chase strategies of
                :func:`repro.omq.certain_answers` — every fragment
 ``"datalog"``  Datalog saturation on the delta chase (full Σ exact;
-               guarded Σ via the blocked-chase hybrid) —
-               :mod:`repro.datalog`
+               guarded Σ with existentials runs the ``"guarded"``
+               strategy) — :mod:`repro.datalog`
 ``"sql"``      SQLite pushdown (linear single-head Σ via the perfect
                rewriting; full Σ via in-database saturation)
 ``"auto"``     fragment-aware choice, never unsound: full → datalog
                (on par with the chase on E22's full-tc rows), linear
-               single-head → sql (9.6–16× faster than the chase on E22's
+               single-head → sql (7–18× faster than the chase on E22's
                linear rows), everything else → chase — see
                :func:`repro.datalog.choose_backend`
 =============  ========================================================
 
-An explicit backend outside its sound fragment raises
+This function is the one dispatcher: ``"auto"`` is resolved per Σ
+*before* an :class:`~repro.options.EvalOptions` bundle applies its chase
+knobs, so they take effect whenever the chase runs.  An explicit backend
+outside its sound fragment raises
 :class:`repro.datalog.BackendUnsupported`.  For closed-world (U)CQ/CQS
 queries the backend picks the *join engine* (``"sql"`` runs sqlite3;
 the others run the in-memory homomorphism search) — the answer sets are
@@ -55,15 +59,14 @@ identical, which ``tests/oracle/test_backend_differential.py`` sweeps.
 
 from __future__ import annotations
 
-from typing import Iterable
-
 from .cqs import CQS, PromiseViolation
-from .datamodel import EvalStats, Instance, JoinPlan, Term
-from .governance import Budget, BudgetExceeded
+from .datamodel import EvalStats, Instance, JoinPlan
+from .governance import Budget
 from .omq import OMQ, OMQAnswer, certain_answers
-from .options import EvalOptions
-from .queries import CQ, UCQ, iter_answers
-from .queries.sql import evaluate_via_sqlite
+from .omq.evaluation import answer_step
+from .options import EvalOptions, check_backend
+from .queries import CQ, UCQ
+from .queries.sql import sqlite_answer_step
 
 if False:  # pragma: no cover - import cycle guard, typing only
     from .chase import ChaseCache
@@ -97,6 +100,7 @@ def closed_world_answer(
     query: CQ | UCQ,
     database: Instance,
     *,
+    backend: str = "chase",
     plan: "JoinPlan | str | None" = None,
     stats: EvalStats | None = None,
     budget: Budget | None = None,
@@ -107,112 +111,34 @@ def closed_world_answer(
     The workhorse behind :func:`evaluate`'s CQ/UCQ/CQS arms and
     :meth:`repro.Engine.evaluate`: a budget trip yields the answers found
     so far with ``complete=False`` and the trip code set, instead of
-    raising.  *plan* follows :func:`~repro.datamodel.find_homomorphisms`
-    (a pre-compiled :class:`~repro.datamodel.JoinPlan` only fits a
-    single-CQ query).
+    raising.  *backend* ``"sql"`` runs the joins in sqlite3; every other
+    backend runs the in-memory homomorphism search, where *plan* follows
+    :func:`~repro.datamodel.find_homomorphisms` (a pre-compiled
+    :class:`~repro.datamodel.JoinPlan` only fits a single-CQ query).
     """
     if stats is None:
         stats = EvalStats()
-    disjuncts: Iterable[CQ]
-    disjuncts = query.disjuncts if isinstance(query, UCQ) else (query,)
-    answers: set[tuple[Term, ...]] = set()
-    trip: str | None = None
-    try:
-        for cq in disjuncts:
-            for row in iter_answers(
-                cq, database, stats=stats, budget=budget, plan=plan
-            ):
-                answers.add(row)
-    except BudgetExceeded as exc:
-        trip = exc.code
-        exc.attach(stats=stats)
-    return OMQAnswer(
-        answers,
-        trip is None,
+    if backend == "sql":
+        answers, trip = sqlite_answer_step(
+            query, database, stats=stats, budget=budget
+        )
+        return OMQAnswer(
+            answers,
+            trip is None,
+            strategy,
+            f"sqlite3, {len(database)} atoms",
+            stats=stats,
+            trip=trip,
+        )
+    return answer_step(
+        query,
+        database,
         strategy,
         f"{len(database)} atoms",
         stats=stats,
-        trip=trip,
+        budget=budget,
+        plan=plan,
     )
-
-
-def _closed_world_sql(
-    query: CQ | UCQ,
-    database: Instance,
-    *,
-    stats: EvalStats | None = None,
-    budget: Budget | None = None,
-    strategy: str = "closed-world",
-) -> OMQAnswer:
-    """Closed-world ``q(D)`` through sqlite3, governed like the rest."""
-    if stats is None:
-        stats = EvalStats()
-    trip: str | None = None
-    try:
-        answers = evaluate_via_sqlite(query, database, stats=stats, budget=budget)
-    except BudgetExceeded as exc:
-        answers = exc.partial if exc.partial is not None else set()
-        trip = exc.code
-        exc.attach(stats=stats)
-    return OMQAnswer(
-        answers,
-        trip is None,
-        strategy,
-        f"sqlite3, {len(database)} atoms",
-        stats=stats,
-        trip=trip,
-    )
-
-
-def _backend_certain_answers(
-    query: OMQ,
-    data: Instance,
-    backend: str,
-    *,
-    plan,
-    stats,
-    budget,
-    cache,
-    **kwargs,
-) -> OMQAnswer:
-    """Route an OMQ to the datalog / SQL backend (or auto-pick one)."""
-    from .datalog.backend import (
-        choose_backend,
-        datalog_certain_answers,
-        sql_certain_answers,
-    )
-
-    if backend == "auto":
-        backend = choose_backend(query.tgds)
-        if backend == "chase":
-            if plan is not None:
-                kwargs["plan"] = plan
-            return certain_answers(
-                query, data, stats=stats, budget=budget, cache=cache, **kwargs
-            )
-    if backend == "datalog":
-        allowed = {"unfold", "max_nodes"}
-        extra = set(kwargs) - allowed
-        if extra:
-            raise TypeError(
-                f"unexpected keyword arguments for the datalog backend: "
-                f"{sorted(extra)}"
-            )
-        if plan is not None:
-            kwargs["plan"] = plan
-        return datalog_certain_answers(
-            query, data, stats=stats, budget=budget, cache=cache, **kwargs
-        )
-    if backend == "sql":
-        if kwargs:
-            raise TypeError(
-                f"unexpected keyword arguments for the sql backend: "
-                f"{sorted(kwargs)}"
-            )
-        return sql_certain_answers(
-            query, data, stats=stats, budget=budget, cache=cache
-        )
-    raise ValueError(f"unknown backend {backend!r}")  # pragma: no cover
 
 
 def evaluate(
@@ -244,9 +170,10 @@ def evaluate(
         raises :class:`repro.datalog.BackendUnsupported`.
     plan:
         Join-ordering policy for the homomorphism searches: ``None``
+        takes the bundle's ``plan`` when *options* is given, and otherwise
         defers to each engine's default (dynamic per-node ordering for
         closed-world queries, ``"auto"`` for OMQ certain answers, whose
-        final UCQ evaluation runs over a frozen chase instance),
+        final UCQ evaluation runs over a frozen chase instance);
         ``"auto"`` forces plan compilation, and a pre-compiled
         :class:`~repro.datamodel.JoinPlan` is accepted for single-CQ
         queries.  Planning never changes the answer set.
@@ -271,36 +198,39 @@ def evaluate(
     """
     if backend is None:
         backend = options.backend if options is not None else "chase"
-    if backend not in ("chase", "datalog", "sql", "auto"):
-        raise ValueError(
-            f"unknown backend {backend!r}; expected one of "
-            "'chase', 'datalog', 'sql', 'auto'"
-        )
+    check_backend(backend)
     if options is not None and plan is None:
         plan = options.plan
     if isinstance(query, OMQ):
-        if options is not None and backend == "chase":
-            # Session defaults for the chase-backed OMQ knobs; the other
-            # backends take a different (narrower) kwarg set and use only
-            # the backend/plan fields of the bundle.
+        # Imported on first OMQ use, as repro.datalog exports it lazily:
+        # ``import repro`` does not load the backends.
+        from .datalog.backend import (
+            choose_backend,
+            datalog_certain_answers,
+            sql_certain_answers,
+        )
+
+        if backend == "auto":
+            backend = choose_backend(query.tgds)
+        if backend == "sql":
+            return sql_certain_answers(
+                query, data, stats=stats, budget=budget, cache=cache, **kwargs
+            )
+        # A bundle's plan applies verbatim, None (dynamic ordering)
+        # included; otherwise None defers to the route's default.
+        if plan is not None or options is not None:
+            kwargs["plan"] = plan
+        if backend == "datalog":
+            return datalog_certain_answers(
+                query, data, stats=stats, budget=budget, cache=cache, **kwargs
+            )
+        if options is not None:
+            # Session defaults for the chase-only knobs.
             kwargs.setdefault("strategy", options.strategy)
             kwargs.setdefault("trigger_strategy", options.trigger_strategy)
             kwargs.setdefault("parallelism", options.parallelism)
             if options.level_bound is not None:
                 kwargs.setdefault("level_bound", options.level_bound)
-        if backend != "chase":
-            return _backend_certain_answers(
-                query,
-                data,
-                backend,
-                plan=plan,
-                stats=stats,
-                budget=budget,
-                cache=cache,
-                **kwargs,
-            )
-        if plan is not None:
-            kwargs["plan"] = plan
         return certain_answers(
             query, data, stats=stats, budget=budget, cache=cache, **kwargs
         )
@@ -321,12 +251,13 @@ def evaluate(
                 "database violates the integrity constraints; "
                 "CQS evaluation is only defined on Σ-satisfying databases"
             )
-        if backend == "sql":
-            return _closed_world_sql(
-                query.query, data, stats=stats, budget=budget, strategy="cqs"
-            )
         return closed_world_answer(
-            query.query, data, plan=plan, stats=stats, budget=budget,
+            query.query,
+            data,
+            backend=backend,
+            plan=plan,
+            stats=stats,
+            budget=budget,
             strategy="cqs",
         )
     if isinstance(query, (CQ, UCQ)):
@@ -335,13 +266,11 @@ def evaluate(
                 f"unexpected keyword arguments for closed-world evaluation: "
                 f"{sorted(kwargs)}"
             )
-        if backend == "sql":
-            # Closed-world: Σ plays no role, so "sql" means "run the joins
-            # in sqlite3" — same answers, different engine (the
-            # differential suite's oracle pairing).
-            return _closed_world_sql(query, data, stats=stats, budget=budget)
+        # Closed-world: Σ plays no role, so "sql" means "run the joins in
+        # sqlite3" — same answers, different engine (the differential
+        # suite's oracle pairing).
         return closed_world_answer(
-            query, data, plan=plan, stats=stats, budget=budget
+            query, data, backend=backend, plan=plan, stats=stats, budget=budget
         )
     raise TypeError(
         f"evaluate() takes a CQ, UCQ, OMQ, or CQS; got {type(query).__name__}"

@@ -30,23 +30,17 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from ..datamodel import EvalStats, Instance, Term
+from ..datamodel import EvalStats, Instance, JoinPlan, Term
 from ..options import Parallelism
 from ..governance import TRIP_CODES as _TRIP_CODES
 from ..governance import Budget, BudgetExceeded
 from ..governance.checkpoint import ChaseCheckpoint, validate_tgds
-from ..queries import UCQ, evaluate_ucq, iter_answers
+from ..queries import CQ, UCQ, iter_answers
 from ..tgds import all_full, all_linear, is_weakly_acyclic
-from ..chase import (
-    ChaseCache,
-    chase,
-    ground_saturation,
-    rewrite_ucq,
-    saturated_expansion,
-)
+from ..chase import ChaseCache, chase, rewrite_ucq, saturated_expansion
 from .omq import OMQ
 
-__all__ = ["OMQAnswer", "certain_answers", "is_certain_answer"]
+__all__ = ["OMQAnswer", "answer_step", "certain_answers", "is_certain_answer"]
 
 #: Default level bound for the fallback bounded strategy.
 DEFAULT_LEVEL_BOUND = 8
@@ -114,41 +108,57 @@ class OMQAnswer:
         return NotImplemented
 
 
-def _evaluate_partial(
-    query: UCQ,
+def answer_step(
+    query: CQ | UCQ,
     instance: Instance,
+    strategy: str,
+    detail: str,
     *,
     stats: EvalStats,
     budget: Budget | None,
-    plan: str | None = "auto",
-) -> tuple[set[tuple[Term, ...]], str | None]:
-    """Evaluate a UCQ, keeping the answers found if the budget trips.
+    trip: str | None = None,
+    exact: bool = True,
+    plan: "JoinPlan | str | None" = "auto",
+    restrict_to: Instance | None = None,
+    checkpoint: ChaseCheckpoint | None = None,
+) -> OMQAnswer:
+    """Prop 3.1's second step, governed: evaluate *query* over *instance*.
 
-    Returns ``(answers, trip_code_or_None)``.  Safe because every yielded
-    answer of :func:`~repro.queries.iter_answers` is valid on its own.
-    The instance is frozen here (the chase/expansion already ran), so
-    ``plan="auto"`` is the default: each disjunct compiles once.
+    *instance* is the part of ``chase(D, Σ)`` a route built, or ``D``
+    itself for a rewriting or a closed-world query.  *trip* is the trip
+    code of the route's first leg: when set, evaluation runs under
+    :meth:`Budget.grace` (clamped to any hard deadline, so a governed
+    call returns within about twice its deadline) and the result reports
+    that trip.  A trip here keeps the answers found so far — each tuple
+    :func:`~repro.queries.iter_answers` yields is valid on its own.
+    *restrict_to* keeps only tuples over its domain: certain answers are
+    tuples over ``dom(D)``, so tuples with chase nulls are dropped.
+    ``complete`` is *exact* (the route's own exactness) and no trip.
     """
+    if trip is not None and budget is not None:
+        budget = budget.grace()
     answers: set[tuple[Term, ...]] = set()
-    trip: str | None = None
     try:
-        for cq in query.disjuncts:
+        for cq in query.disjuncts if isinstance(query, UCQ) else (query,):
             for row in iter_answers(
                 cq, instance, stats=stats, budget=budget, plan=plan
             ):
                 answers.add(row)
     except BudgetExceeded as exc:
-        trip = exc.code
+        trip = trip or exc.code
         exc.attach(stats=stats)
-    return answers, trip
-
-
-def _restrict_to_database(
-    answers: set[tuple[Term, ...]], database: Instance
-) -> set[tuple[Term, ...]]:
-    """Certain answers are tuples over dom(D); drop null-containing tuples."""
-    dom = database.dom()
-    return {t for t in answers if all(c in dom for c in t)}
+    if restrict_to is not None:
+        dom = restrict_to.dom()
+        answers = {t for t in answers if all(c in dom for c in t)}
+    return OMQAnswer(
+        answers,
+        exact and trip is None,
+        strategy,
+        detail,
+        stats=stats,
+        trip=trip,
+        checkpoint=checkpoint,
+    )
 
 
 def certain_answers(
@@ -206,6 +216,8 @@ def certain_answers(
     if stats is None:
         stats = EvalStats()
 
+    # Each route builds part of chase(D, Σ) (or a rewriting) and hands it
+    # to answer_step with its own exactness and trip rule.
     if resume_from is not None:
         # Continue a tripped chase-based materialisation exactly where it
         # stopped; the checkpoint carries the run's own bounds, so a
@@ -216,25 +228,19 @@ def certain_answers(
         result = resume_chase(
             resume_from, budget=budget, stats=stats, null_policy="fresh"
         )
-        label = (
-            "bounded"
-            if resume_from.config.get("max_level") is not None
-            else "chase"
-        )
-        tripped = result.trip_reason in _TRIP_CODES
-        eval_budget = budget.grace() if tripped and budget is not None else budget
-        raw, eval_trip = _evaluate_partial(
-            omq.query, result.instance, stats=stats, budget=eval_budget, plan=plan
-        )
-        trip = (result.trip_reason if tripped else None) or eval_trip
-        return OMQAnswer(
-            _restrict_to_database(raw, database),
-            result.terminated and trip is None,
-            label,
+        bounded = resume_from.config.get("max_level") is not None
+        return answer_step(
+            omq.query,
+            result.instance,
+            "bounded" if bounded else "chase",
             f"resumed at level {resume_from.next_level}, "
             f"{len(result.instance)} atoms",
             stats=stats,
-            trip=trip,
+            budget=budget,
+            trip=result.trip_reason if result.trip_reason in _TRIP_CODES else None,
+            exact=result.terminated,
+            plan=plan,
+            restrict_to=database,
             checkpoint=result.checkpoint,
         )
 
@@ -249,43 +255,28 @@ def certain_answers(
             strategy = "bounded"
 
     if strategy == "chase":
-        if cache is not None:
-            result = cache.chase(
-                database,
-                tgds,
-                strategy=trigger_strategy,
-                stats=stats,
-                budget=budget,
-                parallelism=parallelism,
-            )
-        else:
-            result = chase(
-                database,
-                tgds,
-                strategy=trigger_strategy,
-                stats=stats,
-                budget=budget,
-                parallelism=parallelism,
-            )
+        run = cache.chase if cache is not None else chase
+        result = run(
+            database,
+            tgds,
+            strategy=trigger_strategy,
+            stats=stats,
+            budget=budget,
+            parallelism=parallelism,
+        )
         if not result.terminated and budget is None:  # pragma: no cover
             raise RuntimeError("chase strategy selected but chase did not terminate")
-        # Post-trip answer extraction runs under a *grace* budget — derived
-        # via Budget.child, so it is clamped to any inherited hard deadline
-        # (a service request's cap) and otherwise grants the same deadline
-        # on a fresh clock, bounding the total wall time of a governed call
-        # by twice the deadline.
-        eval_budget = budget.grace() if result.trip_reason else budget
-        raw, eval_trip = _evaluate_partial(
-            omq.query, result.instance, stats=stats, budget=eval_budget, plan=plan
-        )
-        trip = result.trip_reason or eval_trip
-        return OMQAnswer(
-            _restrict_to_database(raw, database),
-            trip is None,
+        # Any stop is a trip here, a safety-cap "atom bound" included.
+        return answer_step(
+            omq.query,
+            result.instance,
             "chase",
             f"{len(result.instance)} atoms",
             stats=stats,
-            trip=trip,
+            budget=budget,
+            trip=result.trip_reason,
+            plan=plan,
+            restrict_to=database,
             checkpoint=result.checkpoint,
         )
 
@@ -295,24 +286,21 @@ def certain_answers(
             rewriting = rewrite_ucq(omq.query, tgds, budget=budget)
         except BudgetExceeded as exc:
             # Partial rewritings are sound: each derived CQ's answers over D
-            # are certain answers.  Evaluate what we have under grace.
+            # are certain answers.
             if budget is None or exc.partial is None:
                 raise
             rewriting = exc.partial
             trip = exc.code
             exc.attach(stats=stats)
-        eval_budget = budget.grace() if trip and budget is not None else budget
-        answers, eval_trip = _evaluate_partial(
-            rewriting, database, stats=stats, budget=eval_budget, plan=plan
-        )
-        trip = trip or eval_trip
-        return OMQAnswer(
-            answers,
-            trip is None,
+        return answer_step(
+            rewriting,
+            database,
             "rewrite",
             f"{len(rewriting)} CQs",
             stats=stats,
+            budget=budget,
             trip=trip,
+            plan=plan,
         )
 
     if strategy == "guarded":
@@ -327,27 +315,23 @@ def certain_answers(
             stats=stats,
             budget=budget,
         )
-        eval_budget = (
-            budget.grace() if expansion.trip_reason and budget is not None
-            else budget
-        )
-        raw, eval_trip = _evaluate_partial(
-            omq.query, expansion.instance, stats=stats, budget=eval_budget, plan=plan
-        )
-        trip = expansion.trip_reason or eval_trip
-        return OMQAnswer(
-            _restrict_to_database(raw, database),
-            expansion.provably_exact and trip is None,
+        return answer_step(
+            omq.query,
+            expansion.instance,
             "guarded",
             f"{expansion.nodes} nodes, unfold={calibration}, "
             f"blocked={expansion.blocked}",
             stats=stats,
-            trip=trip,
+            budget=budget,
+            trip=expansion.trip_reason,
+            exact=expansion.provably_exact,
+            plan=plan,
+            restrict_to=database,
         )
 
     if strategy == "bounded":
         # Never cached: a level-bounded prefix depends on the bound, not
-        # just on (D, Σ).
+        # just on (D, Σ).  Reaching the level bound is not a trip.
         result = chase(
             database,
             tgds,
@@ -357,20 +341,17 @@ def certain_answers(
             budget=budget,
             parallelism=parallelism,
         )
-        tripped = result.trip_reason in _TRIP_CODES
-        eval_budget = budget.grace() if tripped and budget is not None else budget
-        raw, eval_trip = _evaluate_partial(
-            omq.query, result.instance, stats=stats, budget=eval_budget, plan=plan
-        )
-        trip = result.trip_reason if tripped else None
-        trip = trip or eval_trip
-        return OMQAnswer(
-            _restrict_to_database(raw, database),
-            result.terminated and trip is None,
+        return answer_step(
+            omq.query,
+            result.instance,
             "bounded",
             f"level ≤ {level_bound}, {len(result.instance)} atoms",
             stats=stats,
-            trip=trip,
+            budget=budget,
+            trip=result.trip_reason if result.trip_reason in _TRIP_CODES else None,
+            exact=result.terminated,
+            plan=plan,
+            restrict_to=database,
             checkpoint=result.checkpoint,
         )
 

@@ -9,7 +9,9 @@ Two things live here, both importable straight from :mod:`repro`:
   evaluation knob (strategy, trigger strategy, join plan policy, backend,
   parallelism, level bound) so it can be built once and handed to
   :func:`repro.evaluate`, :class:`repro.Engine`, and
-  :meth:`repro.serve.QueryService.submit` alike.
+  :meth:`repro.serve.QueryService.submit` alike; the backend names it
+  accepts are :data:`BACKENDS`, checked by :func:`check_backend` at every
+  entry point.
 
 Parallelism semantics (v1)
 --------------------------
@@ -40,12 +42,27 @@ from dataclasses import dataclass
 from typing import ClassVar, Union
 
 __all__ = [
+    "BACKENDS",
     "EvalOptions",
     "Parallelism",
     "ProcessPool",
     "ThreadPool",
+    "check_backend",
     "resolve_parallelism",
 ]
+
+#: The evaluation backends every ``backend=`` knob accepts.
+BACKENDS = ("auto", "chase", "datalog", "sql")
+
+
+def check_backend(backend: str) -> str:
+    """Return *backend* if it names one of :data:`BACKENDS`, else raise."""
+    if backend not in BACKENDS:
+        raise ValueError(
+            f"unknown backend {backend!r}; expected one of "
+            + ", ".join(repr(name) for name in BACKENDS)
+        )
+    return backend
 
 
 def _check_workers(workers: int | None) -> None:
@@ -175,8 +192,9 @@ class EvalOptions:
     plan:
         Join-ordering policy for UCQ evaluation (``"auto"`` or ``None``).
     backend:
-        Evaluation backend: ``"chase"``, ``"datalog"``, ``"sql"``, or
-        ``"auto"``.
+        Evaluation backend, one of :data:`BACKENDS`.  ``"auto"`` is
+        resolved per Σ before the chase knobs apply, so they take effect
+        whenever it picks the chase.
     parallelism:
         How to shard the chase's per-level trigger search — a
         :class:`ProcessPool` marker or ``None`` (serial).
@@ -195,11 +213,7 @@ class EvalOptions:
         # Fail at construction, not deep inside a chase: normalising here
         # surfaces a bad width/kind immediately (the result is discarded).
         resolve_parallelism(self.parallelism)
-        if self.backend not in ("chase", "datalog", "sql", "auto"):
-            raise ValueError(
-                f"unknown backend {self.backend!r}; expected 'chase', "
-                "'datalog', 'sql', or 'auto'"
-            )
+        check_backend(self.backend)
 
     def replace(self, **changes) -> "EvalOptions":
         """A copy with the given fields changed (validation re-runs)."""

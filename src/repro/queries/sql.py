@@ -41,6 +41,7 @@ __all__ = [
     "load_into_sqlite",
     "evaluate_via_sqlite",
     "execute_ucq",
+    "sqlite_answer_step",
     "rule_to_insert_sql",
     "recursive_saturation_sql",
     "saturate_in_sqlite",
@@ -242,6 +243,40 @@ def evaluate_via_sqlite(
         )
     finally:
         connection.close()
+
+
+def sqlite_answer_step(
+    query: CQ | UCQ,
+    source: "Instance | sqlite3.Connection",
+    *,
+    present: set[str] | None = None,
+    stats: EvalStats | None = None,
+    budget: "Budget | None" = None,
+    trip: str | None = None,
+) -> tuple[set[tuple[str, ...]], str | None]:
+    """The governed answer step in sqlite3 — twin of
+    :func:`repro.omq.evaluation.answer_step`.
+
+    Runs :func:`evaluate_via_sqlite` over an instance, or
+    :func:`execute_ucq` over an already-loaded connection (*present* as
+    there).  *trip* is the upstream leg's trip code: when set, the query
+    runs under :meth:`Budget.grace` instead of the spent budget.  A trip
+    here keeps the sound answers of the executed disjuncts.  Returns
+    ``(answers, trip)``, the upstream trip taking precedence.
+    """
+    if trip is not None and budget is not None:
+        budget = budget.grace()
+    try:
+        if isinstance(source, sqlite3.Connection):
+            answers = execute_ucq(
+                source, query, present=present, stats=stats, budget=budget
+            )
+        else:
+            answers = evaluate_via_sqlite(query, source, stats=stats, budget=budget)
+    except BudgetExceeded as exc:
+        exc.attach(stats=stats)
+        return (exc.partial if exc.partial is not None else set()), trip or exc.code
+    return answers, trip
 
 
 # ----------------------------------------------------------------------

@@ -67,7 +67,7 @@ from ..chase import ChaseCache
 from ..engine import Engine
 from ..evaluation import evaluate as _evaluate, query_kind
 from ..governance import Budget, BudgetExceeded
-from ..options import EvalOptions, Parallelism
+from ..options import EvalOptions, Parallelism, check_backend
 from ..tgds import TGD
 from ..treewidth.heuristics import treewidth_upper_bound
 from .breaker import BreakerBoard
@@ -80,8 +80,6 @@ __all__ = [
     "QueryService",
     "estimate_cost",
 ]
-
-_BACKENDS = ("auto", "chase", "datalog", "sql")
 
 
 def estimate_cost(query) -> dict:
@@ -403,9 +401,7 @@ class QueryService:
             raise KeyError(f"unknown tenant {tenant!r}")
         if backend is None and options is not None:
             backend = options.backend
-        backend = backend or "auto"
-        if backend not in _BACKENDS:
-            raise ValueError(f"unknown backend {backend!r}")
+        backend = check_backend(backend or "auto")
         kind = query_kind(query)  # raises TypeError for junk — caller bug
         deadline = deadline if deadline is not None else self.config.deadline
         now = self._clock()
@@ -689,11 +685,7 @@ class QueryService:
                 req.query,
                 req.database,
                 options=req.options,
-                backend=(
-                    ("sql" if backend == "sql" else "chase")
-                    if req.kind == "cqs"
-                    else backend
-                ),
+                backend=backend,
                 budget=budget,
                 cache=entry.engine.cache if req.kind == "omq" else None,
             )
@@ -702,12 +694,7 @@ class QueryService:
                 req.query, req.database, budget=budget, backend=backend
             )
         if req.kind == "cqs":
-            return _evaluate(
-                req.query,
-                req.database,
-                backend="sql" if backend == "sql" else "chase",
-                budget=budget,
-            )
+            return _evaluate(req.query, req.database, backend=backend, budget=budget)
         return entry.engine.evaluate(
             req.query, req.database, budget=budget, backend=backend
         )

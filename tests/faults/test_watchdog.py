@@ -88,6 +88,15 @@ def test_without_timeout_runs_in_process(bench_dir, capsys):
     assert "E99: returns a row promptly." in out
 
 
+def test_crash_without_timeout_becomes_a_row(bench_dir, capsys):
+    status = run_all.main(["e98", "e99"], bench_dir=bench_dir)
+    out = capsys.readouterr().out
+    assert status == 0
+    assert "CRASH" in out and "RuntimeError: synthetic crash" in out
+    # The in-process run kept going past the crash.
+    assert "E99: returns a row promptly." in out and "True" in out
+
+
 def test_module_title_does_not_execute_the_module(bench_dir):
     # ast-based title extraction must not run the hanging module's body.
     title = run_all.module_title(bench_dir / "bench_e97_hang.py")

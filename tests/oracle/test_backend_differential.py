@@ -8,10 +8,10 @@ engine runs the evaluation, on the fragments where each engine is sound:
 * full Σ — the semi-naive datalog least model and the in-database SQL
   saturation both equal the chase instance exactly (no nulls invented);
 * linear single-head Σ — the SQL backend evaluates the perfect rewriting
-  over D (Prop D.2) while the datalog backend runs the blocked-chase
-  hybrid; both must agree with chase-based certain answers;
-* guarded Σ — the datalog hybrid (saturated expansion + full-rule
-  saturation) vs the chase strategies.
+  over D (Prop D.2) while the datalog backend runs the chase's guarded
+  strategy; both must agree with chase-based certain answers;
+* guarded Σ — the datalog backend (the guarded strategy's blocked
+  expansion) vs the chase strategies.
 
 Each seeded sweep draws >= 200 randomized (Σ, D, q) cases from plain
 ``random.Random`` (deterministic counts, unlike hypothesis), including a
@@ -160,7 +160,7 @@ def make_omq(tgds, query, db) -> OMQ:
 def check_against_exact(exact_answers, result, context):
     """Complete results must equal the exact answers, partial ones
     under-approximate.  ``complete=False`` does not imply a trip code —
-    the guarded hybrid also reports incompleteness when its expansion
+    the guarded strategy also reports incompleteness when its expansion
     blocked; budget trips are asserted separately where a trip is forced.
     """
     if result.complete:
@@ -210,8 +210,9 @@ def test_full_sigma_three_way(seed):
 def test_linear_sigma_three_way(seed):
     """Linear single-head Σ (existentials allowed): all three backends.
 
-    Linear ⊆ guarded, so the datalog hybrid is sound here too; the SQL
-    backend evaluates the perfect rewriting directly over D.
+    Linear ⊆ guarded, so the datalog backend's guarded strategy is sound
+    here too; the SQL backend evaluates the perfect rewriting directly
+    over D.
     """
     rng = random.Random(3000 + seed)
     for case in range(N_LINEAR):
@@ -233,7 +234,7 @@ def test_linear_sigma_three_way(seed):
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_guarded_sigma_datalog_vs_chase(seed):
-    """Guarded Σ with existentials: the datalog hybrid vs the chase."""
+    """Guarded Σ with existentials: the datalog backend vs the chase."""
     rng = random.Random(4000 + seed)
     exact_cases = 0
     for case in range(N_GUARDED):
@@ -248,8 +249,9 @@ def test_guarded_sigma_datalog_vs_chase(seed):
             exact_cases += 1
             check_against_exact(set(oracle.answers), result, ctx)
         elif result.complete:
-            # The hybrid proved exactness where the chase truncated: the
-            # chase prefix is sound, so it must under-approximate.
+            # The guarded strategy proved exactness where the chase
+            # truncated: the chase prefix is sound, so it must
+            # under-approximate.
             assert set(oracle.answers) <= set(result.answers), ctx
         # Both incomplete: two sound under-approximations of the same
         # certain answers — nothing to compare directly.
@@ -275,7 +277,8 @@ def test_benchgen_ontologies_agree(seed):
 
     rng = random.Random(6000 + seed)
 
-    # Guarded, weakly acyclic: chase is exact; datalog hybrid must agree.
+    # Guarded, weakly acyclic: chase is exact; the datalog backend's
+    # guarded strategy must agree.
     tgds = employment_ontology()
     db = employment_database(rng.randint(3, 6), 2, seed=seed)
     q = parse_ucq("q(x) :- Person(x) | q(x) :- Mgr(x)")

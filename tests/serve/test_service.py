@@ -17,7 +17,7 @@ import pytest
 from repro import OMQ, parse_database, parse_tgds, parse_ucq
 from repro.governance import Budget
 from repro.serve import QueryService, ServiceConfig, estimate_cost
-from repro.serve.service import _BACKENDS
+from repro.options import BACKENDS as _BACKENDS
 
 TGDS = parse_tgds(["Emp(x) -> Person(x)", "Mgr(x) -> Emp(x)"])
 DB = parse_database("Emp(ada), Mgr(grace)")

@@ -242,6 +242,67 @@ class TestEvalOptions:
             opts.replace(backend="mystery")
 
 
+class TestAutoKeepsChaseKnobs:
+    """``backend="auto"`` resolves before the chase knobs apply, so a Σ it
+    sends to the chase runs with the session's trigger strategy and the
+    call's strategy, exactly as ``backend="chase"`` would."""
+
+    #: Guarded and weakly acyclic with a two-atom existential rule, so
+    #: ``auto`` picks the chase.
+    SIGMA = parse_tgds(
+        [
+            "Emp(x) -> Person(x)",
+            "Mgr(x) -> Emp(x)",
+            "Mgr(x) -> Manages(x, y)",
+            "Manages(x, y) -> Emp(y)",
+            "WorksFor(x, y) -> Company(y)",
+            "WorksFor(x, y) -> Emp(x)",
+            "ReportsTo(x, y) -> Emp(x)",
+            "ReportsTo(x, y) -> Mgr(y)",
+            "Company(y) -> HasCEO(y, z)",
+            "HasCEO(y, z) -> Mgr(z)",
+            "WorksFor(x, y), Mgr(x) -> Leads(x, y, z)",
+        ]
+    )
+    DB = parse_database("Mgr(a), WorksFor(a, c), ReportsTo(b, a), WorksFor(b, c)")
+    QUERY = parse_ucq("q(x) :- Emp(x)")
+
+    def test_auto_picks_the_chase_here(self):
+        from repro.datalog import choose_backend
+
+        assert choose_backend(self.SIGMA) == "chase"
+
+    def test_engine_trigger_strategy(self):
+        counts = {
+            backend: Engine(
+                self.SIGMA, backend=backend, trigger_strategy="naive", cache=False
+            )
+            .certain_answers(self.QUERY, self.DB)
+            .stats.triggers_enumerated
+            for backend in ("auto", "chase")
+        }
+        assert counts["auto"] == counts["chase"], counts
+
+    def test_options_trigger_strategy(self):
+        from repro import evaluate as evaluate_unified
+
+        omq = OMQ.with_full_data_schema(list(self.SIGMA), self.QUERY)
+        counts = {
+            backend: evaluate_unified(
+                omq,
+                self.DB,
+                options=EvalOptions(backend=backend, trigger_strategy="naive"),
+            ).stats.triggers_enumerated
+            for backend in ("auto", "chase")
+        }
+        assert counts["auto"] == counts["chase"], counts
+
+    def test_engine_strategy(self):
+        engine = Engine(self.SIGMA, backend="auto")
+        answer = engine.certain_answers(self.QUERY, self.DB, strategy="bounded")
+        assert answer.strategy == "bounded"
+
+
 class TestUniformKwargs:
     def test_is_answer_and_holds_take_stats_and_budget(self):
         db = parse_database("Emp(ada)")
