@@ -41,8 +41,8 @@ Quickstart::
 The free functions remain available for one-shot use
 (``certain_answers(Q, db)``, ``chase(db, sigma)``); ``docs/api.md``
 documents the Engine session, the uniform ``budget=``/``stats=`` kwargs,
-the ``.complete``/``.trip``/``.stats`` result protocol, and
-``parallelism=``.
+the ``.complete``/``.trip``/``.stats`` result protocol, and the
+deprecation map (``parallelism=`` among it).
 """
 
 from .datamodel import (

@@ -79,9 +79,8 @@ def sharded_ontology(shards: int, depth: int) -> list[TGD]:
     Shard ``s`` is ``R{s}_{i}(x,y), R{s}_{i}(y,z) → R{s}_{i+1}(x,z)`` for
     ``i < depth`` — full (no existentials, terminating) and touching only
     its own predicates, so per level the trigger searches of distinct
-    shards are completely independent.  The designed workload for the
-    parallel chase (experiment E19): with ``parallelism=shards`` every
-    worker gets a genuinely disjoint slice of the level's work.
+    shards are completely independent.  Experiment E19 times the serial
+    chase and the chase cache on it.
     """
     rules = [
         f"R{s}_{i}(x, y), R{s}_{i}(y, z) -> R{s}_{i+1}(x, z)"

@@ -43,12 +43,11 @@ in memory, cold ones cost a re-load, nothing costs a full recomputation.
 
 The cache is lock-protected and may be shared across threads **and
 tenants** (one :class:`~repro.serve.QueryService` serving many sessions);
-a single chase's own workers never touch it — the cache sits strictly
-above the engine.  Pass ``tenant=`` (or use :meth:`ChaseCache.scoped`,
-which threads it for you) to attribute hits/misses/extensions/resumes to
-a tenant in :meth:`info`; sharing is deliberately cross-tenant — two
-tenants with the same ontology share one materialisation — while the
-accounting stays per-tenant.
+the cache sits strictly above the engine.  Pass ``tenant=`` (or use
+:meth:`ChaseCache.scoped`, which threads it for you) to attribute
+hits/misses/extensions/resumes to a tenant in :meth:`info`; sharing is
+deliberately cross-tenant — two tenants with the same ontology share one
+materialisation — while the accounting stays per-tenant.
 
 Correctness contract (asserted by ``tests/test_chase_cache.py``): a hit is
 the *same object* previously computed; an extension has the same ground
@@ -67,7 +66,7 @@ from typing import Sequence
 
 from ..datamodel import EvalStats, Instance
 from ..datamodel.terms import null_counter_value
-from ..options import Parallelism
+from ..options import Parallelism, check_parallelism
 from ..governance import Budget
 from ..governance.checkpoint import ChaseCheckpoint, CheckpointError
 from ..storage import CorruptArtifactError, RecoveryManager, RecoveryReport, quarantine
@@ -204,10 +203,13 @@ class ChaseCache:
         checkpoint for the next call instead.
 
         *stats* accounts only the work this call actually performed — an
-        exact hit contributes nothing to it.  *tenant* attributes the
+        exact hit contributes nothing to it.  *parallelism* is deprecated
+        and ignored; it is checked on every call, hit or miss, as in
+        :func:`~repro.chase.chase`.  *tenant* attributes the
         outcome to a tenant in :meth:`info` (the entries themselves are
         shared across tenants — same ontology, same materialisation).
         """
+        check_parallelism(parallelism)
         sigma = tuple(tgds)
         atoms = database.atoms()
         key = (sigma, strategy, atoms)
@@ -295,7 +297,6 @@ class ChaseCache:
                 strategy=strategy,
                 stats=stats,
                 budget=budget,
-                parallelism=parallelism,
             )
         else:
             with self._lock:
@@ -307,7 +308,6 @@ class ChaseCache:
                 strategy=strategy,
                 stats=stats,
                 budget=budget,
-                parallelism=parallelism,
             )
 
         if result.terminated:
@@ -437,12 +437,6 @@ class ChaseCache:
             db_size=sum(1 for _, level in ordered if level == 0),
             stats=result.stats.copy(),
             trip=None,
-            config={
-                "parallelism": {
-                    "kind": result.parallelism_kind,
-                    "workers": result.parallelism,
-                }
-            },
         )
 
     # ------------------------------------------------------------------

@@ -35,39 +35,6 @@ Two trigger-search strategies compute the same level-wise sequence:
   checks the delta engine against; both produce identical level maps and
   isomorphic instances.
 
-Parallel trigger firing
------------------------
-
-Each level's candidate triggers are materialised *before* any firing, so
-the trigger search of a level runs against a frozen instance — an
-embarrassingly parallel unit.  ``parallelism=ProcessPool(n)`` (the CLI
-default for ``--parallelism N > 1``) shards the TGD list round-robin
-across long-lived worker *processes* that hold interned replicas of the
-instance — each level ships only the intern-pool delta and the new atoms
-as ``[pred_id, [term_id, …]]`` buffers over the :mod:`repro.datamodel.io`
-codec, and workers return compact candidate buffers with private
-:class:`EvalStats`.  The coordinator sorts the merged candidates into
-canonical firing order before the usual fired-key dedupe and firing.
-(``ThreadPool(n)`` is deprecated: its GIL-bound thread shards ran at
-0.66–0.98× serial speed on E19's ``sharded_ontology(4, 3)`` on a 2-vCPU
-host, so the marker now warns and runs serially.)  Consequences:
-
-* firing, null invention, and level assignment stay on the coordinator,
-  in the same order the serial engine would use — parallel and serial
-  runs produce *bit-identical* instances, level maps, and counters
-  (asserted by ``tests/oracle/test_parallel_determinism.py`` and
-  ``tests/oracle/test_process_parallelism.py``);
-* process workers cannot share a :class:`~repro.governance.Budget`, so
-  they count site checks locally and the coordinator *replays* the counts
-  via ``Budget.check_batch`` in shard order — trips and injected faults
-  land deterministically, and a trip aborts the level before a single
-  trigger of that level fires;
-* a process worker that dies outright is respawned transparently at the
-  next level, its shard's outcome folded into the retry-once policy
-  below;
-* small frontiers fall back to the serial search (``parallel_threshold``),
-  so the pool is only consulted when a level has enough work to shard.
-
 Termination: guaranteed for full TGDs and weakly acyclic sets; otherwise the
 caller must bound levels/atoms (the result records whether a fixpoint was
 reached).  An *unbounded* run past the safety cap raises; a run bounded by
@@ -104,19 +71,12 @@ instance atoms re-inserted in checkpoint order so index iteration order is
 reproduced — and re-enters :func:`_chase_core` at the recorded level.  With
 ``null_policy="exact"`` (the default) the global null counter is pinned to
 the checkpoint's value, which makes ``resume(trip(run))`` bit-identical to
-the uninterrupted run — at any trip point, any ``parallelism``, and across
-process boundaries via the JSON codec in :mod:`repro.datamodel.io`
+the uninterrupted run — at any trip point, and across process boundaries
+via the JSON codec in :mod:`repro.datamodel.io`
 (``tests/chaos/`` sweeps exactly this).  ``chase(...,
 checkpoint_every=k)`` additionally snapshots every *k* completed levels
 (``on_checkpoint=`` receives each one — the CLI's crash-survivable
 ``--checkpoint-dir``).
-
-Worker-failure recovery: a process worker shard that dies from a
-*non-budget* exception is retried once on the coordinator
-(``stats.worker_retries``); if the retry dies too, the level aborts with
-:class:`ChaseWorkerError` whose ``.checkpoint`` is the consistent
-pre-level snapshot — a crashed worker never costs more than one level of
-progress.
 """
 
 from __future__ import annotations
@@ -125,7 +85,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
-from ..options import Parallelism, resolve_parallelism
+from ..options import Parallelism, check_parallelism
 from ..datamodel import (
     Atom,
     EvalStats,
@@ -156,7 +116,6 @@ __all__ = [
     "extend_chase",
     "resume_chase",
     "terminating_chase",
-    "PARALLEL_MIN_WORK",
 ]
 
 #: Global safety cap: an unbounded chase that exceeds this many atoms raises.
@@ -165,25 +124,16 @@ DEFAULT_SAFETY_CAP = 1_000_000
 #: Trigger-search strategies accepted by :func:`chase`.
 STRATEGIES = ("delta", "naive")
 
-#: Minimum per-level work estimate (delta-or-instance size × TGDs with a
-#: body) before the trigger search is sharded across the worker pool; below
-#: it, dispatch overhead would dominate and the level runs serially.
-PARALLEL_MIN_WORK = 64
-
 
 class ChaseNonterminationError(RuntimeError):
     """An unbounded chase exceeded its safety cap without reaching a fixpoint."""
 
 
 class ChaseWorkerError(RuntimeError):
-    """A parallel-chase worker died twice from a non-budget exception.
+    """Deprecated: the chase has no worker shards, so this is never raised.
 
-    The first death is retried once on the coordinator; only a
-    second failure aborts the level and raises this.  ``checkpoint`` holds
-    the consistent pre-level :class:`~repro.governance.ChaseCheckpoint`
-    (no trigger of the aborted level fired), so the caller can repair the
-    environment and :func:`resume_chase` without losing completed levels.
-    ``__cause__`` is the underlying worker exception.
+    Kept exported for one release so ``except ChaseWorkerError`` clauses
+    still import.
     """
 
     def __init__(self, message: str) -> None:
@@ -221,10 +171,9 @@ class ChaseResult:
         The semi-oblivious (TGD index, frontier image) keys fired so far —
         what :func:`extend_chase` needs to resume this run incrementally.
     parallelism:
-        The worker count the run was configured with (1 = serial).
+        Deprecated: always 1 (the trigger search runs serially).
     parallelism_kind:
-        How the trigger search ran: ``"serial"`` or ``"process"`` (a
-        deprecated ``ThreadPool`` marker runs, and reports, ``"serial"``).
+        Deprecated: always ``"serial"``.
     checkpoint:
         A :class:`~repro.governance.ChaseCheckpoint` for every incomplete
         run (budget trip or level/atom bound), ``None`` on a fixpoint —
@@ -352,9 +301,8 @@ def _delta_triggers(
 ) -> Iterator[tuple[int, tuple[int, ...]]]:
     """Semi-naive trigger search: candidates seeded by the previous delta.
 
-    *pairs* carries each TGD together with its global index (the parallel
-    engine hands each worker a shard of the full list; the index keeps the
-    fired-key space and the merge order global).
+    *pairs* carries each TGD together with its index in the full list,
+    which keys the fired-key space.
 
     A trigger is new at this level iff its body image contains at least one
     delta atom.  For each TGD and each body position, every delta fact that
@@ -403,159 +351,6 @@ def _naive_triggers(
             yield tgd_index, tuple(intern(hom[v]) for v in order)
 
 
-def _parallelism_from_config(value) -> tuple[str, int]:
-    """The checkpointed ``config["parallelism"]`` entry back to (kind, workers).
-
-    Format-2 checkpoints store ``{"kind": ..., "workers": ...}``; the io
-    decoder shims format-1 ints into the same shape, but synthetic configs
-    (and very old in-memory checkpoints) may still carry a bare int.  Only
-    a process pool survives a resume: ``"thread"`` entries (and bare ints,
-    which historically meant threads) resume serially, with no deprecation
-    warning — nobody *typed* that value in the current release.
-    """
-    if not isinstance(value, Mapping):
-        return ("serial", 1)
-    kind = value.get("kind", "serial")
-    workers = value.get("workers", 1)
-    if kind not in ("serial", "thread", "process"):
-        raise ValueError(f"unknown parallelism kind {kind!r} in checkpoint")
-    if kind == "process" and workers > 1:
-        return ("process", workers)
-    return ("serial", 1)
-
-
-def _collect_shard(
-    pairs: Sequence[tuple[int, TGD]],
-    instance: Instance,
-    delta: Instance,
-    strategy: str,
-    budget: Budget | None,
-) -> tuple[list[tuple[int, tuple[int, ...]]], EvalStats]:
-    """Enumerate one shard's triggers with a private stats (inline retry)."""
-    local = EvalStats()
-    if strategy == "delta":
-        candidates = list(_delta_triggers(pairs, instance, delta, local, budget))
-    else:
-        candidates = list(_naive_triggers(pairs, instance, local, budget))
-    return candidates, local
-
-
-def _process_candidates(
-    procpool,
-    atom_order: Sequence[Atom],
-    delta_order: Sequence[Atom],
-    instance: Instance,
-    delta: Instance,
-    strategy: str,
-    stats: EvalStats,
-    budget: Budget | None,
-) -> list[tuple[int, tuple[int, ...]]]:
-    """Run one level across the process pool and merge deterministically.
-
-    The merge order is irrelevant: the caller sorts the level's candidates
-    into canonical firing order (:func:`_candidate_sort`), which is how
-    parallel, serial, and resumed runs all fire identically — shards are
-    built round-robin over TGD indexes purely to balance work.
-
-    Process workers cannot check the shared
-    :class:`~repro.governance.Budget` live, so each returns its per-site
-    check counts and the coordinator *replays* them here via
-    :meth:`~repro.governance.Budget.check_batch` — in shard order, sites
-    sorted — before accepting the shard's candidates.  Deterministic
-    replay order means step budgets, cancellation, and chaos injections
-    trip on the same shard in every run, which is what keeps
-    ``resume(trip(run))`` bit-identical across process parallelism.  A
-    budget trip from any shard is re-raised after every shard has been
-    accounted for, and the level's candidates are discarded — no trigger
-    of an aborted level ever fires, so the instance stays a consistent
-    prefix.
-
-    A shard whose replay raises a **non-budget** exception (the chaos
-    harness's injected worker crash) or whose process died outright is
-    retried once inline on the coordinator against the real budget (the
-    search only reads frozen state, so it is safely re-runnable);
-    ``stats.worker_retries`` counts these.  A second failure aborts the
-    level with :class:`ChaseWorkerError` — budget trips from other shards
-    take precedence, since they carry graceful-degradation semantics.
-    """
-    outcomes = procpool.run_level(atom_order, delta_order, budget)
-    stats.parallel_levels += 1
-    stats.shards_dispatched += len(outcomes)
-    merged: list[tuple[int, tuple[int, ...]]] = []
-    budget_error: BudgetExceeded | None = None
-    worker_error: ChaseWorkerError | None = None
-
-    def replay(sites: Mapping[str, int]) -> None:
-        if budget is not None:
-            for site in sorted(sites):
-                budget.check_batch(site, sites[site])
-
-    def retry(shard: int, exc: BaseException) -> None:
-        nonlocal budget_error, worker_error
-        shard_pairs = procpool.shard_pairs(shard)
-        stats.worker_retries += 1
-        try:
-            candidates, local = _collect_shard(
-                shard_pairs, instance, delta, strategy, budget
-            )
-        except BudgetExceeded as retry_exc:
-            if budget_error is None:
-                budget_error = retry_exc
-        except Exception as retry_exc:
-            if worker_error is None:
-                worker_error = ChaseWorkerError(
-                    f"chase worker shard of {len(shard_pairs)} TGD(s) failed "
-                    f"twice: {exc!r}, then {retry_exc!r}"
-                )
-                worker_error.__cause__ = retry_exc
-        else:
-            stats.merge(local)
-            merged.extend(candidates)
-
-    for shard, outcome in enumerate(outcomes):
-        tag = outcome[0]
-        if tag == "ok":
-            payload = outcome[1]
-            try:
-                replay(payload["sites"])
-            except BudgetExceeded as exc:
-                if budget_error is None:
-                    budget_error = exc
-                continue
-            except Exception as exc:
-                # An injected worker-crash fault fired during replay: the
-                # shard's work is discarded and re-run inline.
-                retry(shard, exc)
-                continue
-            stats.merge(procpool.decode_stats(payload["stats"]))
-            merged.extend(
-                (index, tuple(ids)) for index, ids in payload["candidates"]
-            )
-        elif tag == "trip":
-            payload = outcome[1]
-            try:
-                replay(payload["sites"])
-            except BudgetExceeded as exc:
-                if budget_error is None:
-                    budget_error = exc
-                continue
-            except Exception as exc:
-                retry(shard, exc)
-                continue
-            # The worker's local allowance expired but the shared budget
-            # has not tripped yet (clock skew within the check interval):
-            # re-run the shard against the real budget for an exact
-            # verdict rather than synthesising a trip.
-            retry(shard, RuntimeError("worker-local deadline expired"))
-        else:  # "died"
-            retry(shard, outcome[1])
-    if budget_error is not None:
-        raise budget_error
-    if worker_error is not None:
-        raise worker_error
-    return merged
-
-
 def _chase_core(
     *,
     tgds: list[TGD],
@@ -572,9 +367,6 @@ def _chase_core(
     strategy: str,
     stats: EvalStats,
     budget: Budget | None,
-    parallel_kind: str,
-    workers: int,
-    parallel_threshold: int,
     start_level: int = 0,
     fired_start: int = 0,
     checkpoint_every: int | None = None,
@@ -584,9 +376,8 @@ def _chase_core(
     and :func:`resume_chase`.
 
     The caller hands over the initial state (instance, level map, delta
-    frontier, fired keys); the core runs levels to a fixpoint or bound and
-    owns the process pool's lifecycle.  Invariants the checkpoint layer
-    leans on:
+    frontier, fired keys); the core runs levels to a fixpoint or bound.
+    Invariants the checkpoint layer leans on:
 
     * ``levels`` and ``instance`` receive atoms in lockstep, so the atoms
       produced in the current level are exactly the *tail* of the level
@@ -633,23 +424,10 @@ def _chase_core(
     ]
     programs = compile_bodies(pairs)
 
-    procpool = None
-    if parallel_kind == "process" and workers > 1 and len(pairs) >= 2:
-        # The pool object is cheap; worker processes spawn lazily at the
-        # first level whose work crosses the parallel threshold.
-        from .procpool import ProcessShardPool
-
-        procpool = ProcessShardPool(
-            workers=workers, tgds=tgds, pairs=pairs, strategy=strategy,
-            pool=pool,
-        )
-
     config = {
         "max_level": max_level,
         "max_atoms": max_atoms,
         "safety_cap": safety_cap,
-        "parallelism": {"kind": parallel_kind, "workers": workers},
-        "parallel_threshold": parallel_threshold,
     }
 
     def snapshot(
@@ -707,9 +485,8 @@ def _chase_core(
 
     final_checkpoint: ChaseCheckpoint | None = None
     # Per-level rollback marks, maintained only when a mid-level abort is
-    # possible (budget trip or worker failure); ungoverned serial runs pay
-    # nothing.
-    track_marks = budget is not None or procpool is not None
+    # possible (a budget trip); ungoverned runs pay nothing.
+    track_marks = budget is not None
     produced: list[Atom] = []
     level_keys: list = []
     null_mark = null_counter_value()
@@ -751,16 +528,7 @@ def _chase_core(
             # index sets would mutate them mid-iteration, and the level-wise
             # semantics wants triggers judged against the end-of-previous-
             # level instance anyway.
-            frontier_size = len(delta) if strategy == "delta" else len(instance)
-            if (
-                procpool is not None
-                and frontier_size * len(pairs) >= parallel_threshold
-            ):
-                candidates = _process_candidates(
-                    procpool, list(levels), delta_order, instance, delta,
-                    strategy, stats, budget,
-                )
-            elif strategy == "delta":
+            if strategy == "delta":
                 candidates = list(
                     _delta_triggers(pairs, instance, delta, stats, budget)
                 )
@@ -867,23 +635,6 @@ def _chase_core(
         )
         exc.attach(stats=stats)
         exc.checkpoint = final_checkpoint
-    except ChaseWorkerError as exc:
-        # A worker died twice: abort the level but hand the caller a
-        # consistent pre-level checkpoint (no trigger of this level fired).
-        exc.checkpoint = snapshot(
-            next_level=level,
-            delta_atoms=delta_order,
-            empty_pending=empty_mark,
-            fired_at=fired_mark,
-            nulls_at=null_mark,
-            stats_at=stats_mark if stats_mark is not None else stats.copy(),
-            undo_produced=produced,
-            undo_keys=level_keys,
-        )
-        raise
-    finally:
-        if procpool is not None:
-            procpool.stop()
 
     stats.wall_seconds += time.perf_counter() - run_start
     terminated = reason == "fixpoint"
@@ -902,8 +653,6 @@ def _chase_core(
             (index, tuple(term_of(i) for i in image))
             for index, image in fired_keys
         ),
-        parallelism=workers,
-        parallelism_kind=parallel_kind,
         checkpoint=final_checkpoint,
     )
 
@@ -919,7 +668,7 @@ def chase(
     stats: EvalStats | None = None,
     budget: Budget | None = None,
     parallelism: Parallelism = None,
-    parallel_threshold: int = PARALLEL_MIN_WORK,
+    parallel_threshold: int | None = None,
     checkpoint_every: int | None = None,
     on_checkpoint: Callable[[ChaseCheckpoint], None] | None = None,
 ) -> ChaseResult:
@@ -937,14 +686,9 @@ def chase(
     default) or ``"naive"`` (full re-scan per level, the differential
     oracle).  Both produce identical level maps and isomorphic instances.
 
-    *parallelism* shards each level's trigger search: ``ProcessPool(n)``
-    runs it on *n* worker processes (``None`` → serial; a bare int > 1
-    still works as *n* processes, and a ``ThreadPool(n)`` marker runs
-    serially, each with a one-release :class:`DeprecationWarning` — see
-    :func:`repro.options.resolve_parallelism`).  Levels whose estimated
-    work falls below *parallel_threshold* run serially.  Firing stays on
-    the coordinating process in canonical order, so the result is
-    identical to the serial run's (see the module docstring).
+    *parallelism* and *parallel_threshold* are deprecated and ignored:
+    the trigger search runs serially.  A value asking for workers warns
+    (see :func:`repro.options.check_parallelism`).
 
     *stats* may be a shared :class:`EvalStats` to accumulate counters
     across runs; a fresh one is created otherwise (see ``result.stats``).
@@ -978,7 +722,7 @@ def chase(
     # order a function of the database's content, so fresh runs agree
     # across interpreters with different ``PYTHONHASHSEED`` values.
     ordered = sorted(database, key=_atom_sort_key)
-    kind, workers = resolve_parallelism(parallelism)
+    check_parallelism(parallelism)
     return _chase_core(
         tgds=tgds,
         instance=Instance(ordered),
@@ -994,9 +738,6 @@ def chase(
         strategy=strategy,
         stats=stats,
         budget=budget,
-        parallel_kind=kind,
-        workers=workers,
-        parallel_threshold=parallel_threshold,
         checkpoint_every=checkpoint_every,
         on_checkpoint=on_checkpoint,
     )
@@ -1014,7 +755,7 @@ def extend_chase(
     stats: EvalStats | None = None,
     budget: Budget | None = None,
     parallelism: Parallelism = None,
-    parallel_threshold: int = PARALLEL_MIN_WORK,
+    parallel_threshold: int | None = None,
     on_incomplete: str = "raise",
 ) -> ChaseResult:
     """Resume a *terminated* chase after new database atoms arrive.
@@ -1040,7 +781,8 @@ def extend_chase(
     extension rounds rather than absolute s-levels.
 
     The base result is not mutated; with no genuinely new atoms it is
-    returned unchanged (when the base terminated).
+    returned unchanged (when the base terminated).  *parallelism* and
+    *parallel_threshold* are deprecated and ignored, as in :func:`chase`.
     """
     if on_incomplete not in ("raise", "restart"):
         raise ValueError(
@@ -1051,6 +793,7 @@ def extend_chase(
         raise ValueError(
             f"unknown chase strategy {effective!r}; expected one of {STRATEGIES}"
         )
+    check_parallelism(parallelism)
     tgds = list(tgds)
     if stats is None:
         stats = EvalStats()
@@ -1081,8 +824,6 @@ def extend_chase(
             strategy=effective,
             stats=stats,
             budget=budget,
-            parallelism=parallelism,
-            parallel_threshold=parallel_threshold,
         )
     # Rebuild from the level map's insertion order (instance and level map
     # share it), keeping checkpoint/replay order reproducible.
@@ -1101,7 +842,6 @@ def extend_chase(
             delta_order.append(atom)
     if not delta:
         return base
-    kind, workers = resolve_parallelism(parallelism)
     return _chase_core(
         tgds=tgds,
         instance=instance,
@@ -1117,9 +857,6 @@ def extend_chase(
         strategy=effective,
         stats=stats,
         budget=budget,
-        parallel_kind=kind,
-        workers=workers,
-        parallel_threshold=parallel_threshold,
     )
 
 
@@ -1136,8 +873,8 @@ def resume_chase(
     max_level: int | None = _UNSET,  # type: ignore[assignment]
     max_atoms: int | None = _UNSET,  # type: ignore[assignment]
     safety_cap: int = _UNSET,  # type: ignore[assignment]
-    parallelism: Parallelism = _UNSET,  # type: ignore[assignment]
-    parallel_threshold: int = _UNSET,  # type: ignore[assignment]
+    parallelism: Parallelism = None,
+    parallel_threshold: int | None = None,
     checkpoint_every: int | None = None,
     on_checkpoint: Callable[[ChaseCheckpoint], None] | None = None,
 ) -> ChaseResult:
@@ -1162,12 +899,14 @@ def resume_chase(
       :class:`~repro.chase.ChaseCache` uses this).  The result is
       isomorphic rather than identical.
 
-    Bound knobs (*max_level*, *max_atoms*, *safety_cap*, *parallelism*,
-    *parallel_threshold*) default to the values the checkpointed run was
-    configured with (carried in ``checkpoint.config``); pass explicit
-    values to override — e.g. a higher *max_level* to push past a
-    level-bound stop.  *budget* is **not** inherited: a resumed run gets
-    whatever fresh budget you pass (or none).
+    Bound knobs (*max_level*, *max_atoms*, *safety_cap*) default to the
+    values the checkpointed run was configured with (carried in
+    ``checkpoint.config``); pass explicit values to override — e.g. a
+    higher *max_level* to push past a level-bound stop.  *budget* is
+    **not** inherited: a resumed run gets whatever fresh budget you pass
+    (or none).  *parallelism* and *parallel_threshold* are deprecated and
+    ignored, as in :func:`chase`; so is any parallelism a checkpoint
+    written by an earlier release recorded — every resume runs serially.
     """
     if checkpoint.kind != "chase":
         raise CheckpointError(
@@ -1192,12 +931,7 @@ def resume_chase(
         max_atoms = config.get("max_atoms")
     if safety_cap is _UNSET:
         safety_cap = config.get("safety_cap", DEFAULT_SAFETY_CAP)
-    if parallelism is _UNSET:
-        kind, workers = _parallelism_from_config(config.get("parallelism", 1))
-    else:
-        kind, workers = resolve_parallelism(parallelism)
-    if parallel_threshold is _UNSET:
-        parallel_threshold = config.get("parallel_threshold", PARALLEL_MIN_WORK)
+    check_parallelism(parallelism)
     tgds = list(checkpoint.tgds)
     if stats is None:
         stats = checkpoint.stats.copy()
@@ -1226,9 +960,6 @@ def resume_chase(
         strategy=checkpoint.strategy,
         stats=stats,
         budget=budget,
-        parallel_kind=kind,
-        workers=workers,
-        parallel_threshold=parallel_threshold,
         start_level=checkpoint.next_level - 1,
         fired_start=checkpoint.fired,
         checkpoint_every=checkpoint_every,

@@ -9,10 +9,10 @@ over a database that already records a manager) and is what practical
 engines run.
 
 The two chases are homomorphically equivalent whenever both exist, so UCQ
-certain answers agree; the tests check this.  This module exists for two
-reasons: (i) it documents the difference the paper's footnote glosses over,
-and (ii) it gives the benchmark generators a termination tool on inputs
-where the (semi-)oblivious chase diverges.
+certain answers agree; the tests check this.  This module documents the
+difference the paper's footnote glosses over, and terminates on some
+inputs where the (semi-)oblivious chase diverges.  No evaluation route,
+benchmark generator or service path calls it.
 
 The trigger search is the same delta-driven (semi-naive) machinery as the
 oblivious engine (:mod:`repro.chase.engine`): at round ``i`` only triggers

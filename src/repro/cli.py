@@ -13,11 +13,11 @@ Commands
 ``load``       seeded load storm against an in-process service
 
 The three evaluation commands construct one :class:`repro.Engine` session
-and share its knobs: ``--parallelism N`` shards the chase's per-level
-trigger search across N worker *processes* (N=1 runs serial; results are
-bit-identical at any setting), ``--no-cache`` disables the session chase
-cache (one CLI invocation usually chases once, so the cache matters when a
-command chases repeatedly — e.g. a multi-disjunct certain-answer run).
+and share its knobs: ``--no-cache`` disables the session chase cache (one
+CLI invocation usually chases once, so the cache matters when a command
+chases repeatedly — e.g. a multi-disjunct certain-answer run).
+``--parallelism N`` is deprecated: the chase runs serially, and N > 1
+only warns.
 
 Checkpoint/resume: ``chase`` and ``certain`` accept ``--checkpoint-dir
 DIR``.  A run cut short by ``--timeout``/``--max-atoms`` (exit status 3)
@@ -51,7 +51,7 @@ from .governance import Budget
 from .governance.checkpoint import CheckpointError, validate_tgds
 from .storage import StorageError
 from .omq import OMQ, certain_answers
-from .options import BACKENDS, ProcessPool
+from .options import BACKENDS
 from .queries import parse_database, parse_ucq
 from .tgds import classify, is_weakly_acyclic, parse_tgds
 
@@ -75,10 +75,28 @@ def _budget_from(args: argparse.Namespace) -> Budget | None:
     return Budget(deadline=args.timeout, max_atoms=args.max_atoms)
 
 
-def _parallelism_from(args: argparse.Namespace):
-    """``--parallelism N`` → a marker: 1 means serial, N>1 means processes."""
-    n = args.parallelism
-    return None if n == 1 else ProcessPool(n)
+def _parallelism_arg(value: str) -> int:
+    """``--parallelism N``: any N >= 1 is accepted (the flag is deprecated)."""
+    try:
+        n = int(value)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected an integer, got {value!r}"
+        ) from None
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {n}")
+    return n
+
+
+def _add_parallelism_flag(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--parallelism",
+        type=_parallelism_arg,
+        default=1,
+        metavar="N",
+        help="deprecated and ignored: the chase runs serially "
+        "(N > 1 warns)",
+    )
 
 
 def _engine_from(args: argparse.Namespace, tgds) -> Engine:
@@ -87,7 +105,7 @@ def _engine_from(args: argparse.Namespace, tgds) -> Engine:
         tgds,
         budget=_budget_from(args),
         cache=not args.no_cache,
-        parallelism=_parallelism_from(args),
+        parallelism=args.parallelism,
         plan=None if getattr(args, "plan", "auto") == "off" else "auto",
         backend=getattr(args, "backend", "chase"),
     )
@@ -113,14 +131,7 @@ def _add_budget_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_engine_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--parallelism",
-        type=int,
-        default=1,
-        metavar="N",
-        help="worker processes for the chase's per-level trigger search "
-        "(default 1 = serial; results are bit-identical at any setting)",
-    )
+    _add_parallelism_flag(parser)
     parser.add_argument(
         "--no-cache",
         action="store_true",
@@ -228,7 +239,7 @@ def cmd_chase(args: argparse.Namespace) -> int:
         except (_ResumeFailed, CheckpointError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
-        kwargs = {"parallelism": _parallelism_from(args)}
+        kwargs = {"parallelism": args.parallelism}
         if args.max_level is not None:
             kwargs["max_level"] = args.max_level
         result = resume_chase(
@@ -247,7 +258,7 @@ def cmd_chase(args: argparse.Namespace) -> int:
             tgds,
             max_level=args.max_level,
             budget=budget,
-            parallelism=_parallelism_from(args),
+            parallelism=args.parallelism,
             checkpoint_every=checkpoint_every,
             on_checkpoint=on_checkpoint,
         )
@@ -393,7 +404,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
         soft_queue=args.soft_queue,
         hard_queue=args.hard_queue,
         cache_spill_dir=args.spill_dir,
-        parallelism=_parallelism_from(args),
+        parallelism=args.parallelism,
     )
     tenants = []
     for spec in args.tenant:
@@ -533,8 +544,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="queue depth at which requests are rejected")
     p.add_argument("--spill-dir", default=None,
                    help="directory for the cache's evict-to-checkpoint spill tier")
-    p.add_argument("--parallelism", type=int, default=1,
-                   help="worker processes per tenant chase (1 = serial)")
+    _add_parallelism_flag(p)
     p.set_defaults(fn=cmd_serve)
 
     p = sub.add_parser(

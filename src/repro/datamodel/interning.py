@@ -6,7 +6,7 @@ equality walk per probe.  An :class:`InternPool` maps every term (plain
 constant, labelled null, variable) and every predicate name to a dense
 ``int`` exactly once; everything downstream — the
 :class:`~repro.datamodel.Instance` fact maps keyed by id tuples, the
-per-position postings, the cross-process chase wire format — works over
+per-position postings, the chase's trigger candidates — works over
 those ints.
 
 Identity discipline
@@ -16,23 +16,8 @@ Ids are assigned in first-intern order and never reused or reassigned, so
 within one pool an id is a stable name for its term.  The pool is
 append-only: there is no "unintern" (an :class:`~repro.datamodel.Instance`
 that drops an atom keeps the table entries — they are a few bytes, and
-stability is what the wire format needs).
-
-Serialisation
--------------
-
-:meth:`InternPool.snapshot` emits the whole table through the
-:mod:`repro.datamodel.io` term codec — a pure-JSON structure —
-and :meth:`InternPool.restore` rebuilds a pool with identical id
-assignment, which is what makes interned payloads meaningful across a
-process boundary.  :meth:`InternPool.delta_since` emits only the entries
-added after a given watermark, the incremental form the process-parallel
-chase ships to its workers once per level (see
-:mod:`repro.chase.procpool`).  Entries the term codec cannot serialise
-(exotic domain objects interned into the shared default pool by
-unrelated instances) travel as id-keyed
-:class:`~repro.datamodel.io.OpaqueTerm` placeholders, keeping the
-receiver's table aligned without constraining what callers may intern.
+stability is what every id-keyed structure needs).  Ids never leave the
+process: checkpoints serialise terms, not ids.
 
 A module-level :func:`default_pool` is shared by every Instance in the
 process unless a private pool is passed; sharing keeps ids consistent
@@ -136,89 +121,6 @@ class InternPool:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"InternPool<{len(self._terms)} terms, {len(self._preds)} preds>"
-
-    # ------------------------------------------------------------------
-    # Serialisation (the io.py codec does the per-term work)
-    # ------------------------------------------------------------------
-    def snapshot(self) -> dict:
-        """The whole table as a pure-JSON payload (see :meth:`restore`).
-
-        Entry order *is* id order, so restoring reassigns identical ids.
-        """
-        return self.delta_since(0, 0)
-
-    def delta_since(self, term_watermark: int, pred_watermark: int) -> dict:
-        """Entries added after the given watermarks, as a JSON payload.
-
-        The incremental sync the process-parallel chase ships per level:
-        a worker holding the first *term_watermark* terms and
-        *pred_watermark* predicates applies the delta and is current.
-        """
-        from .io import encode_term
-
-        with self._lock:
-            terms = self._terms[term_watermark:]
-            preds = self._preds[pred_watermark:]
-        encoded = []
-        for offset, term in enumerate(terms):
-            try:
-                encoded.append(encode_term(term))
-            except TypeError:
-                # The shared default pool may hold domain objects the JSON
-                # codec refuses (interned by unrelated instances).  Ship an
-                # id-keyed placeholder instead of failing the whole sync:
-                # the receiver's table stays aligned entry-for-entry, and
-                # placeholder equality-by-id is all the trigger search
-                # ever needs of a stored term.
-                encoded.append(
-                    {"__opaque__": term_watermark + offset, "label": repr(term)}
-                )
-        return {
-            "term_base": term_watermark,
-            "terms": encoded,
-            "pred_base": pred_watermark,
-            "preds": list(preds),
-        }
-
-    def apply_delta(self, payload: dict) -> None:
-        """Apply a :meth:`delta_since` payload; id assignment must line up.
-
-        Raises :class:`ValueError` on a watermark mismatch — applying a
-        delta out of order would silently shear every id after the gap.
-        """
-        from .io import decode_term
-
-        terms = [decode_term(t) for t in payload["terms"]]
-        preds = payload["preds"]
-        with self._lock:
-            if payload["term_base"] != len(self._terms):
-                raise ValueError(
-                    f"intern delta expects {payload['term_base']} existing "
-                    f"terms, pool has {len(self._terms)}"
-                )
-            if payload["pred_base"] != len(self._preds):
-                raise ValueError(
-                    f"intern delta expects {payload['pred_base']} existing "
-                    f"predicates, pool has {len(self._preds)}"
-                )
-            for term in terms:
-                self._term_ids[term] = len(self._terms)
-                self._terms.append(term)
-            for pred in preds:
-                self._pred_ids[pred] = len(self._preds)
-                self._preds.append(pred)
-
-    @classmethod
-    def restore(cls, payload: dict) -> "InternPool":
-        """A fresh pool holding exactly the snapshot's tables."""
-        pool = cls()
-        pool.apply_delta(payload)
-        return pool
-
-    def watermarks(self) -> tuple[int, int]:
-        """(term count, predicate count) — the :meth:`delta_since` cursor."""
-        with self._lock:
-            return len(self._terms), len(self._preds)
 
     # ------------------------------------------------------------------
     # Bulk helpers

@@ -148,37 +148,6 @@ def encode_term(term: Term):
     )
 
 
-class OpaqueTerm:
-    """Wire placeholder for a pool entry the term codec cannot serialise.
-
-    Instances built against the shared default :class:`InternPool` may
-    intern domain objects the JSON codec refuses (e.g. the reductions'
-    ``GroheElement``); when an intern-pool *snapshot* crosses a process
-    boundary those entries travel as opaque placeholders keyed by their
-    pool id.  Equality and hashing are by id, so the receiving pool's
-    tables stay aligned entry-for-entry with the sender's — which is all
-    the trigger search needs, since workers only ever compare stored
-    terms for identity, never inspect their structure.  Checkpoints stay
-    strict: :func:`encode_term` still raises, because a checkpointed
-    *instance atom* must round-trip to the real term.
-    """
-
-    __slots__ = ("ident", "label")
-
-    def __init__(self, ident: int, label: str = "") -> None:
-        self.ident = ident
-        self.label = label
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, OpaqueTerm) and other.ident == self.ident
-
-    def __hash__(self) -> int:
-        return hash(("__opaque__", self.ident))
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"OpaqueTerm({self.ident}, {self.label!r})"
-
-
 def decode_term(payload) -> Term:
     """Inverse of :func:`encode_term`."""
     if isinstance(payload, dict):
@@ -188,8 +157,6 @@ def decode_term(payload) -> Term:
             return Variable(payload["__var__"])
         if "__tuple__" in payload:
             return tuple(decode_term(t) for t in payload["__tuple__"])
-        if "__opaque__" in payload:
-            return OpaqueTerm(payload["__opaque__"], payload.get("label", ""))
         raise ValueError(f"unknown term tag in {payload!r}")
     return payload
 
@@ -202,7 +169,7 @@ def encode_atom(atom: Atom) -> list:
 def decode_atom(payload) -> Atom:
     """Inverse of :func:`encode_atom`.
 
-    Only tagged terms (nulls, variables, tuples, opaques) encode as dicts
+    Only tagged terms (nulls, variables, tuples) encode as dicts
     — scalars pass through the codec unchanged, so the common case skips
     the :func:`decode_term` dispatch entirely.  Checkpoint rebuilds decode
     every stored atom through here; the branch is worth it.

@@ -26,9 +26,7 @@ Candidates stay interned all the way to firing: each trigger is yielded as
 ``(tgd_index, ids)`` with *ids* the homomorphism's term ids in
 ``BodyProgram.variables`` order.  The engine dedupes fired keys, sorts the
 level canonically, and assigns body levels over these int tuples,
-materialising Terms only for the candidates that actually fire — and the
-same ``(tgd_index, ids)`` tuples are the compact wire format the
-process-parallel chase ships back from worker shards.
+materialising Terms only for the candidates that actually fire.
 """
 
 from __future__ import annotations

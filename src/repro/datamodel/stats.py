@@ -55,15 +55,9 @@ class EvalStats:
         Head-satisfaction checks performed by the restricted chase.
     nodes_expanded:
         Guarded-chase-forest nodes expanded (blocked chase / filtration).
-    parallel_levels:
-        Chase levels whose trigger search ran sharded across a worker pool
-        (levels below the parallel threshold run serially and do not count).
-    shards_dispatched:
-        TGD shards submitted to the worker pool across all parallel levels.
-    worker_retries:
-        Parallel-chase worker shards that died from a non-budget exception
-        and were retried on the coordinator thread (see
-        :func:`repro.chase.chase` and ``ChaseWorkerError``).
+    parallel_levels, shards_dispatched, worker_retries:
+        Deprecated: always 0.  They counted the retired process-shard
+        trigger search; the chase now runs serially.
     datalog_rounds:
         Chase levels run by Datalog saturation (the final empty level
         counts — it is the fixpoint proof).

@@ -17,8 +17,6 @@ What the session buys over the free functions:
 * a **shared** :class:`~repro.chase.ChaseCache` — repeated calls over the
   same (or a grown) database reuse the chase instead of re-materialising
   it (on by default; pass ``cache=False`` to opt out);
-* one **parallelism** setting applied to every chase's per-level trigger
-  search;
 * one **budget policy**: pass a dict (e.g. ``{"deadline": 5.0}``) to mint
   a *fresh* :class:`~repro.governance.Budget` per call — the usual intent —
   or a :class:`Budget` instance to share one allowance across all calls.
@@ -36,9 +34,9 @@ and into any caller-provided ``stats=`` object; the returned result's
 
 Example::
 
-    from repro import Engine, ProcessPool, parse_database, parse_tgds, parse_ucq
+    from repro import Engine, parse_database, parse_tgds, parse_ucq
 
-    engine = Engine(parse_tgds(["Emp(x) -> Person(x)"]), parallelism=ProcessPool(4))
+    engine = Engine(parse_tgds(["Emp(x) -> Person(x)"]))
     db = parse_database("Emp(ada)")
     engine.certain_answers(parse_ucq("q(x) :- Person(x)"), db).answers
     # {('ada',)} — and the chase is now cached for the next query
@@ -54,7 +52,7 @@ from .datamodel import EvalStats, Instance, JoinPlan, plan_for
 from .governance import Budget
 from .governance.checkpoint import ChaseCheckpoint, validate_tgds
 from .omq import OMQ, OMQAnswer, certain_answers as _certain_answers
-from .options import EvalOptions, Parallelism, check_backend
+from .options import EvalOptions, Parallelism, check_backend, check_parallelism
 from .queries import CQ, UCQ
 from .tgds import TGD
 
@@ -81,9 +79,9 @@ class Engine:
         ``True`` (default) for a private :class:`ChaseCache`, ``False``
         for none, or an existing cache instance to share across engines.
     parallelism:
-        How each chase's per-level trigger search is sharded:
-        ``ProcessPool(n)`` or ``None`` (serial); see
-        :func:`repro.chase.chase` and :mod:`repro.options`.
+        Deprecated: every chase runs serially.  Validated here, so a
+        malformed value raises at construction and a marker or an int > 1
+        warns once (see :func:`repro.options.check_parallelism`).
     trigger_strategy:
         ``"delta"`` (semi-naive, default) or ``"naive"`` — forwarded to
         every chase the session runs.
@@ -139,7 +137,7 @@ class Engine:
             plan = options.plan if options is not None else "auto"
         if backend is None:
             backend = options.backend if options is not None else "chase"
-        self.parallelism = parallelism
+        self.parallelism = check_parallelism(parallelism)
         self.trigger_strategy = trigger_strategy
         self.plan = plan
         self.backend = check_backend(backend)
@@ -193,7 +191,7 @@ class Engine:
         """Materialise ``chase(D, Σ)`` through the session cache.
 
         Identical semantics to :func:`repro.chase.chase` with the session's
-        strategy/parallelism; a cache hit returns the memoised result and a
+        trigger strategy; a cache hit returns the memoised result and a
         grown database extends the cached chase incrementally.
         """
         local = EvalStats()
@@ -206,7 +204,6 @@ class Engine:
                     strategy=self.trigger_strategy,
                     stats=local,
                     budget=budget,
-                    parallelism=self.parallelism,
                 )
             return _chase(
                 database,
@@ -214,7 +211,6 @@ class Engine:
                 strategy=self.trigger_strategy,
                 stats=local,
                 budget=budget,
-                parallelism=self.parallelism,
             )
         finally:
             self._record(local, stats)
@@ -249,7 +245,6 @@ class Engine:
             trigger_strategy=self.trigger_strategy,
             plan=self.plan,
             backend=backend if backend is not None else self.backend,
-            parallelism=self.parallelism,
         )
         local = EvalStats()
         try:
@@ -366,7 +361,6 @@ class Engine:
                 stats=local,
                 budget=budget,
                 cache=self.cache,
-                parallelism=self.parallelism,
                 resume_from=checkpoint,
                 **kwargs,
             )

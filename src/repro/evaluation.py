@@ -160,7 +160,8 @@ def evaluate(
     options:
         An :class:`~repro.options.EvalOptions` bundle supplying session
         defaults (backend, plan, and — for chase-backed OMQ evaluation —
-        strategy, trigger strategy, parallelism, level bound).  Explicit
+        strategy, trigger strategy, level bound; its deprecated
+        parallelism was checked when the bundle was built).  Explicit
         keyword arguments at the call site always win over the bundle.
     backend:
         ``"chase"`` (default — the strategies of
@@ -228,7 +229,6 @@ def evaluate(
             # Session defaults for the chase-only knobs.
             kwargs.setdefault("strategy", options.strategy)
             kwargs.setdefault("trigger_strategy", options.trigger_strategy)
-            kwargs.setdefault("parallelism", options.parallelism)
             if options.level_bound is not None:
                 kwargs.setdefault("level_bound", options.level_bound)
         return certain_answers(

@@ -41,8 +41,10 @@ atomically, with no check in between), so a trip can never tear a result.
 Thread safety
 -------------
 
-A single :class:`Budget` may be shared by the worker threads of the
-parallel chase (``chase(..., parallelism=N)``).  :meth:`Budget.check`,
+A single :class:`Budget` may be used from several threads: the service
+watchdog calls :meth:`Budget.cancel` on a request's budget while a worker
+thread runs the evaluation that checks it, and callers may share one
+budget across concurrent calls.  :meth:`Budget.check`,
 :meth:`Budget.cancel`, and :meth:`Budget.inject` take an internal lock, so
 counters (``checks``, ``steps``, ``site_counts``) never lose updates and a
 one-shot injection fires on exactly one thread.  The contract for engines
@@ -351,13 +353,11 @@ class Budget:
         check); *site* restricts counting to one check site; *exc* is the
         exception instance or class to raise (:class:`Cancelled` by
         default).  *exc* need not be a :class:`BudgetExceeded` — the chaos
-        harness injects plain ``RuntimeError`` to simulate a parallel-chase
-        worker crashing (a non-budget failure the coordinator must recover
-        from).  *repeats* re-arms the injection that many times total, each
-        firing on the next matching check — how the harness kills a worker,
-        then kills its retry too.  Used by ``tests/faults/`` and
-        ``tests/chaos/`` to prove every check site leaves partial results
-        consistent and resumable.
+        harness injects plain ``RuntimeError`` to simulate a non-budget
+        failure mid-evaluation.  *repeats* re-arms the injection that many
+        times total, each firing on the next matching check.  Used by
+        ``tests/faults/`` and ``tests/chaos/`` to prove every check site
+        leaves partial results consistent and resumable.
         """
         if after_n_checks < 1:
             raise ValueError("after_n_checks must be >= 1")
@@ -462,8 +462,8 @@ class Budget:
         ``step=True`` counts one work unit against ``max_steps``.
 
         Thread-safe: counters are updated under an internal lock, so a
-        budget shared by the parallel chase's workers never loses a step
-        and a one-shot injection fires on exactly one thread.
+        budget shared across threads never loses a step and a one-shot
+        injection fires on exactly one thread.
         """
         if site not in CHECK_SITES and site not in _warned_sites:
             _warn_unregistered(site)
@@ -497,66 +497,10 @@ class Budget:
                         site=site,
                     )
 
-    def check_batch(
-        self, site: str, n: int, *, atoms: int | None = None, step: bool = True
-    ) -> None:
-        """Replay *n* checks of *site* in one locked update.
-
-        The process-parallel chase's workers cannot share this object
-        across the process boundary, so they run under a local *counting*
-        budget and ship their per-site check counts back with the level's
-        candidates; the coordinator replays each shard's counts here, **in
-        shard order**, before accepting the shard's work.  Replay order is
-        fixed, so injection windows, step budgets, and cancellation trip on
-        the same shard every run — the determinism the chaos sweep pins.
-
-        Semantically equivalent to *n* successive ``check(site)`` calls,
-        with two deliberate deviations: counters land at the full batch
-        value even when a trip fires partway through the window (the worker
-        already did the work the counters describe), and at most one
-        pending injection fires per batch (remaining ``repeats`` stay
-        armed for subsequent checks or batches — matching one-kill-per-
-        dispatch worker-crash semantics).
-        """
-        if n <= 0:
-            return
-        if site not in CHECK_SITES and site not in _warned_sites:
-            _warn_unregistered(site)
-        with self._lock:
-            self.checks += n
-            self.site_counts[site] += n
-            self._maybe_inject(site)
-            if self._cancel_reason is not None:
-                raise Cancelled(self._cancel_reason, site=site)
-            if self._expires is not None and self._clock() > self._expires:
-                raise DeadlineExceeded(
-                    f"deadline of {self.deadline}s exceeded at {site} "
-                    f"(elapsed {self.elapsed():.3f}s)",
-                    site=site,
-                )
-            if (
-                atoms is not None
-                and self.max_atoms is not None
-                and atoms >= self.max_atoms
-            ):
-                raise AtomBudgetExceeded(
-                    f"atom budget of {self.max_atoms} reached at {site} "
-                    f"({atoms} atoms)",
-                    site=site,
-                )
-            if step:
-                self.steps += n
-                if self.max_steps is not None and self.steps > self.max_steps:
-                    raise StepBudgetExceeded(
-                        f"step budget of {self.max_steps} exhausted at {site}",
-                        site=site,
-                    )
-
     def _maybe_inject(self, site: str) -> None:
         """Fire a pending injection whose ordinal the counters have reached.
 
-        Caller holds ``self._lock``.  Batched replay may jump the counter
-        *past* the armed ordinal; ``>=`` catches the window.
+        Caller holds ``self._lock``.
         """
         if self._inject_at is None:
             return

@@ -21,7 +21,7 @@ entered the level, which is what buys the determinism guarantee::
 
     resume(trip(run)) ≡ uninterrupted run
 
-at any trip point, any ``parallelism``, and across process boundaries
+at any trip point, and across process boundaries
 (asserted bit-for-bit by ``tests/chaos/``): the resumed run re-enters the
 level with the same instance, the same frontier, the same fired keys, and
 the same next null ident, so it enumerates, fires, and labels exactly what
@@ -58,8 +58,9 @@ __all__ = [
 #: History: 1 — original layout, ``config["parallelism"]`` a bare int
 #: meaning worker *threads*; 2 — ``config["parallelism"]`` is
 #: ``{"kind": "serial" | "thread" | "process", "workers": n}`` (the io
-#: decoder shims format-1 ints into the same shape on load; ``"thread"``
-#: entries resume serially).
+#: decoder shims format-1 ints into the same shape on load).  Current
+#: writers record no parallelism at all, and a recorded one is ignored:
+#: every resume runs serially.
 CHECKPOINT_FORMAT_VERSION = 2
 
 
@@ -117,8 +118,8 @@ class ChaseCheckpoint:
         periodic (``checkpoint_every=``) or bound-stop snapshot.
     config:
         The run's bound knobs (``max_level``/``max_atoms``/``safety_cap``/
-        ``parallel_threshold``/``max_rounds``), carried so a resume
-        honours the same bounds by default.
+        ``max_rounds``), carried so a resume honours the same bounds by
+        default.
     """
 
     kind: str

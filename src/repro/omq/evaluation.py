@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from ..datamodel import EvalStats, Instance, JoinPlan, Term
-from ..options import Parallelism
+from ..options import Parallelism, check_parallelism
 from ..governance import TRIP_CODES as _TRIP_CODES
 from ..governance import Budget, BudgetExceeded
 from ..governance.checkpoint import ChaseCheckpoint, validate_tgds
@@ -195,9 +195,8 @@ def certain_answers(
     "chase" strategy runs, the (unbounded) chase is looked up/stored there,
     so repeated calls over the same ``(D, Σ)`` skip straight to UCQ
     evaluation.  The "bounded" strategy never touches the cache (a
-    level-bounded prefix is not the chase).  *parallelism* shards the
-    chase's per-level trigger search (a ``ProcessPool(n)`` marker, or
-    ``None`` for serial — see :mod:`repro.options`).
+    level-bounded prefix is not the chase).  *parallelism* is deprecated
+    and ignored, as in :func:`~repro.chase.chase`.
     *resume_from* continues a previously tripped chase-based evaluation
     from its :class:`~repro.governance.ChaseCheckpoint`
     (``answer.checkpoint``) instead of re-chasing from scratch; the
@@ -211,6 +210,7 @@ def certain_answers(
     """
     if trigger_strategy is None:
         trigger_strategy = "delta"
+    check_parallelism(parallelism)
     omq.validate_database(database)
     tgds = list(omq.tgds)
     if stats is None:
@@ -262,7 +262,6 @@ def certain_answers(
             strategy=trigger_strategy,
             stats=stats,
             budget=budget,
-            parallelism=parallelism,
         )
         if not result.terminated and budget is None:  # pragma: no cover
             raise RuntimeError("chase strategy selected but chase did not terminate")
@@ -339,7 +338,6 @@ def certain_answers(
             strategy=trigger_strategy,
             stats=stats,
             budget=budget,
-            parallelism=parallelism,
         )
         return answer_step(
             omq.query,

@@ -2,9 +2,9 @@
 
 Two things live here, both importable straight from :mod:`repro`:
 
-* the **parallelism markers** :class:`ProcessPool` and the deprecated
-  :class:`ThreadPool`, which say how the chase's per-level trigger search
-  is sharded; and
+* the deprecated **parallelism markers** :class:`ProcessPool` and
+  :class:`ThreadPool`, kept for one release so existing callers still
+  run; and
 * :class:`EvalOptions`, the one dataclass that bundles every session-level
   evaluation knob (strategy, trigger strategy, join plan policy, backend,
   parallelism, level bound) so it can be built once and handed to
@@ -16,26 +16,24 @@ Two things live here, both importable straight from :mod:`repro`:
 Parallelism semantics (v1)
 --------------------------
 
-``parallelism=`` accepts ``ProcessPool(n)``, ``None`` (serial), or a
-plain int.  Process workers are the one sharding mechanism because the
-trigger search is CPU-bound pure Python: thread shards contend on the GIL
-and ran at 0.66–0.98× serial speed on E19's sharded workload (2-vCPU
-host), so ``ThreadPool(n)`` now emits a :class:`DeprecationWarning` and
-runs serially — its results were always bit-identical to serial.  Passing
-a bare int > 1 — which used to mean *threads* — still works for one
-release as *n* processes but emits a :class:`DeprecationWarning`; spell
-the intent with a marker instead.  ``ProcessPool()`` with no width
-defaults to the CPU count.
+The chase's trigger search runs serially.  Neither sharding mechanism
+ever beat it: thread shards contended on the GIL (0.66–0.98× serial on
+E19's sharded workload, 2-vCPU host), and process shards paid for
+shipping every level to the workers and merging back (0.09–0.21× serial
+on one CPU, 0.28–0.56× at two workers on two vCPUs).  ``parallelism=``
+still accepts ``ProcessPool(n)``, ``ThreadPool(n)``, ``None``, or a
+plain int for one release: ``None`` and ``1`` mean serial and stay
+silent; a marker or an int > 1 emits a :class:`DeprecationWarning` and
+runs serially, with results identical to a serial run.
 
-:func:`resolve_parallelism` is the single normalisation point: every
-entry-path knob funnels through it to a ``(kind, workers)`` pair with
-``kind in {"serial", "process"}`` and ``workers >= 1``.
+:func:`check_parallelism` is the single validation point, the twin of
+:func:`check_backend`: every entry path that takes the knob funnels
+through it, so malformed values still raise.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import os
 import sys
 import warnings
 from dataclasses import dataclass
@@ -48,7 +46,7 @@ __all__ = [
     "ProcessPool",
     "ThreadPool",
     "check_backend",
-    "resolve_parallelism",
+    "check_parallelism",
 ]
 
 #: The evaluation backends every ``backend=`` knob accepts.
@@ -72,12 +70,10 @@ def _check_workers(workers: int | None) -> None:
 
 @dataclass(frozen=True)
 class ProcessPool:
-    """Shard each level's trigger search across *workers* OS processes.
+    """Deprecated: runs the trigger search serially, with a warning.
 
-    ``ProcessPool()`` (workers=None) sizes the pool to the CPU count at
-    run time.  Workers are persistent for the duration of one chase: they
-    receive the TGD shard and intern-pool snapshot once, then per-level
-    deltas (see :mod:`repro.chase.procpool`).
+    Process shards never beat the serial search, so
+    :func:`check_parallelism` warns and the chase runs serially.
     """
 
     workers: int | None = None
@@ -92,8 +88,7 @@ class ThreadPool:
     """Deprecated: runs the trigger search serially, with a warning.
 
     Thread shards contended on the GIL and never beat the serial search,
-    so :func:`resolve_parallelism` maps this marker to serial and emits a
-    :class:`DeprecationWarning`; use :class:`ProcessPool` to shard.
+    so :func:`check_parallelism` warns and the chase runs serially.
     """
 
     workers: int | None = None
@@ -114,7 +109,7 @@ _PACKAGE = __name__.partition(".")[0]
 def _warn_deprecated(message: str) -> None:
     """Emit a DeprecationWarning at the first stack frame outside the package.
 
-    The markers reach :func:`resolve_parallelism` through ``chase()``,
+    The markers reach :func:`check_parallelism` through ``chase()``,
     ``EvalOptions``, ``Engine`` and the service, each at a different depth;
     a fixed ``stacklevel`` lands inside the package for most of them, and
     Python's default filters hide a DeprecationWarning attributed there.
@@ -130,46 +125,32 @@ def _warn_deprecated(message: str) -> None:
     warnings.warn(message, DeprecationWarning, stacklevel=level)
 
 
-def resolve_parallelism(parallelism: Parallelism) -> tuple[str, int]:
-    """Normalise a ``parallelism=`` value to ``(kind, workers)``.
+def check_parallelism(parallelism: Parallelism) -> Parallelism:
+    """Return *parallelism* if it is a valid value, else raise.
 
-    ``None`` → ``("serial", 1)``; a :class:`ProcessPool` resolves to
-    processes with ``workers=None`` meaning the CPU count, and a width of
-    1 collapses to serial (there is nothing to shard).  A
-    :class:`ThreadPool` resolves to serial with a
-    :class:`DeprecationWarning`.  A bare int > 1 resolves to processes with
-    a one-release :class:`DeprecationWarning` (ints used to mean threads);
-    a bare 1 is serial and warns nothing.
+    ``None`` and ``1`` are serial and pass silently.  A
+    :class:`ProcessPool` or :class:`ThreadPool` marker, or an int > 1,
+    asks for worker shards the chase no longer has: it emits a
+    :class:`DeprecationWarning` and the run stays serial.  Anything else
+    raises — ``TypeError`` for a non-int, ``ValueError`` below 1 (a
+    marker's width is checked when the marker is built).
     """
     if parallelism is None:
-        return ("serial", 1)
-    if isinstance(parallelism, ThreadPool):
-        _warn_deprecated(
-            f"{parallelism!r} is deprecated and runs serially (thread shards "
-            "never beat the serial trigger search); pass None, or "
-            "ProcessPool(n) to shard across processes"
-        )
-        return ("serial", 1)
-    if isinstance(parallelism, ProcessPool):
-        workers = parallelism.workers
-        if workers is None:
-            workers = os.cpu_count() or 1
-        return (parallelism.kind, workers) if workers > 1 else ("serial", 1)
-    if not isinstance(parallelism, int) or isinstance(parallelism, bool):
-        raise TypeError(
-            "parallelism must be ProcessPool(n), an int, or None, got "
-            f"{parallelism!r}"
-        )
-    if parallelism < 1:
-        raise ValueError(f"parallelism must be >= 1 or None, got {parallelism}")
-    if parallelism == 1:
-        return ("serial", 1)
+        return parallelism
+    if not isinstance(parallelism, (ProcessPool, ThreadPool)):
+        if not isinstance(parallelism, int) or isinstance(parallelism, bool):
+            raise TypeError(
+                f"parallelism must be None or an int, got {parallelism!r}"
+            )
+        if parallelism < 1:
+            raise ValueError(f"parallelism must be >= 1 or None, got {parallelism}")
+        if parallelism == 1:
+            return parallelism
     _warn_deprecated(
-        f"parallelism={parallelism} as a bare int now means {parallelism} "
-        "worker *processes* (it used to mean threads) and will require a "
-        f"marker in the next release; spell it ProcessPool({parallelism})"
+        f"parallelism={parallelism!r} is deprecated and runs serially "
+        "(worker shards never beat the serial trigger search); leave it unset"
     )
-    return ("process", parallelism)
+    return parallelism
 
 
 @dataclass(frozen=True)
@@ -196,8 +177,8 @@ class EvalOptions:
         resolved per Σ before the chase knobs apply, so they take effect
         whenever it picks the chase.
     parallelism:
-        How to shard the chase's per-level trigger search — a
-        :class:`ProcessPool` marker or ``None`` (serial).
+        Deprecated: ``None`` or ``1``.  A marker or an int > 1 warns and
+        runs serially (see :func:`check_parallelism`).
     level_bound:
         Level bound for the bounded strategy (``None`` → the default).
     """
@@ -210,9 +191,8 @@ class EvalOptions:
     level_bound: int | None = None
 
     def __post_init__(self) -> None:
-        # Fail at construction, not deep inside a chase: normalising here
-        # surfaces a bad width/kind immediately (the result is discarded).
-        resolve_parallelism(self.parallelism)
+        # Fail (or warn) at construction, not deep inside a chase.
+        check_parallelism(self.parallelism)
         check_backend(self.backend)
 
     def replace(self, **changes) -> "EvalOptions":

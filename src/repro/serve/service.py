@@ -67,7 +67,7 @@ from ..chase import ChaseCache
 from ..engine import Engine
 from ..evaluation import evaluate as _evaluate, query_kind
 from ..governance import Budget, BudgetExceeded
-from ..options import EvalOptions, Parallelism, check_backend
+from ..options import EvalOptions, Parallelism, check_backend, check_parallelism
 from ..tgds import TGD
 from ..treewidth.heuristics import treewidth_upper_bound
 from .breaker import BreakerBoard
@@ -113,12 +113,9 @@ class ServiceConfig:
     budget clamps both, so end-to-end time never exceeds the deadline
     (plus watchdog slack).
 
-    ``parallelism`` shards every tenant chase's per-level trigger search
-    (a :class:`~repro.options.ProcessPool` marker or ``None`` for
-    serial).  Sizing note: each of the ``max_workers``
-    evaluation threads may drive its own pool, so a ``ProcessPool(n)``
-    setting can hold up to ``max_workers * n`` worker processes alive at
-    peak — size the product to the machine, not each knob alone.
+    ``parallelism`` is deprecated: every tenant chase runs serially.  It
+    is validated here, so a malformed value fails at construction and a
+    marker or an int > 1 warns once, at start-up.
     """
 
     deadline: float = 2.0
@@ -130,7 +127,9 @@ class ServiceConfig:
     degraded_deadline: float = 0.05  # budget of a shed request's eval
     degraded_max_steps: int = 500
     expensive_width: int = 3  # treewidth ub >= this => "expensive"
-    expensive_size: int = 8  # body atoms >= this => "expensive"
+    # A disjunct's ‖q‖ = Σ(arity + 1) over its atoms, not its atom count:
+    # three binary atoms (‖q‖ = 9) already count as expensive.
+    expensive_size: int = 8  # largest disjunct's ‖q‖ >= this => "expensive"
     breaker_threshold: int = 3
     breaker_cooldown: float = 2.0
     watchdog_interval: float = 0.05
@@ -149,6 +148,7 @@ class ServiceConfig:
             raise ValueError("soft_queue must be <= hard_queue")
         if self.max_workers < 1:
             raise ValueError("max_workers must be >= 1")
+        check_parallelism(self.parallelism)
 
 
 @dataclass
@@ -303,11 +303,7 @@ class QueryService:
             raise ValueError(f"tenant {name!r} already registered")
         if weight < 1:
             raise ValueError("weight must be >= 1")
-        engine = Engine(
-            tgds,
-            cache=self.cache.scoped(name),
-            parallelism=self.config.parallelism,
-        )
+        engine = Engine(tgds, cache=self.cache.scoped(name))
         self._tenants[name] = _Tenant(
             name,
             engine,
@@ -391,8 +387,8 @@ class QueryService:
         :class:`QueryResponse` status.  *options* is the same
         :class:`~repro.options.EvalOptions` bundle :func:`repro.evaluate`
         takes — it supplies the backend default and, for chase-backed
-        evaluation, the strategy/trigger-strategy/parallelism/level-bound
-        knobs; an explicit ``backend=`` at the call site wins.
+        evaluation, the strategy/trigger-strategy/level-bound knobs; an
+        explicit ``backend=`` at the call site wins.
         """
         if not self._running:
             raise RuntimeError("service is not running (use `async with`)")
@@ -679,8 +675,8 @@ class QueryService:
             return req._evaluator(req, entry.engine, budget)
         if req.options is not None:
             # An options bundle routes through the unified front door so
-            # its chase knobs (strategy/trigger/parallelism/level bound)
-            # apply; OMQs still share the tenant's scoped chase cache.
+            # its chase knobs (strategy/trigger/level bound) apply; OMQs
+            # still share the tenant's scoped chase cache.
             return _evaluate(
                 req.query,
                 req.database,

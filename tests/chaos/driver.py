@@ -37,7 +37,6 @@ from repro.chase import (
 from repro.datamodel import EvalStats, set_null_counter
 from repro.datamodel.io import checkpoint_from_json_dict, checkpoint_to_json_dict
 from repro.governance import TRIP_CODES
-from repro.options import ProcessPool
 
 #: Fixed seeds every run sweeps; CHAOS_SEED (CI's randomized seed) is added.
 FIXED_SEEDS = (0, 1, 2)
@@ -45,9 +44,8 @@ FIXED_SEEDS = (0, 1, 2)
 #: Null-counter base pinned before every fresh (non-resumed) run.
 NULL_BASE = 1_000
 
-#: Parallelism flavours the chase sweep covers: serial, and process shards
-#: at two widths (four workers give each scenario TGD its own shard).
-PARALLELISMS = (None, ProcessPool(2), ProcessPool(4))
+#: Parallelism flavours the chase sweep covers: the chase runs serially.
+PARALLELISMS = (None,)
 
 #: Check sites the chase sweep injects at (the two governed chase loops).
 CHASE_SITES = ("trigger-fire", "hom-backtrack")
@@ -190,12 +188,7 @@ def run_tripped_chase(db, tgds, *, site, ordinal, exc_cls, parallelism):
     budget.inject(ordinal, site=site, exc=exc_cls)
     stats = EvalStats()
     result = chase(
-        db,
-        tgds,
-        budget=budget,
-        stats=stats,
-        parallelism=parallelism,
-        parallel_threshold=0,
+        db, tgds, budget=budget, stats=stats, parallelism=parallelism
     )
     return result, stats
 

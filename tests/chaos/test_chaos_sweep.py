@@ -1,8 +1,8 @@
 """The chaos sweep: every registered check site × trip kind, resumed/re-run.
 
 Chase sites get the full treatment (trip → checkpoint → resume, directly
-and after a JSON round-trip, at every parallelism) because the chase is
-what carries a :class:`ChaseCheckpoint`.  The remaining governed
+and after a JSON round-trip) because the chase is what carries a
+:class:`ChaseCheckpoint`.  The remaining governed
 procedures have procedure-specific recovery contracts — sound partials,
 resumable type tables, graceful truncation — and each is swept below;
 ``test_site_registry`` asserts this file covers the whole registry.
@@ -16,7 +16,6 @@ import pytest
 
 from repro import Budget, BudgetExceeded, parse_database, parse_tgds, parse_ucq
 from repro.chase import (
-    ChaseWorkerError,
     chase,
     ground_saturation,
     restricted_chase,
@@ -61,13 +60,7 @@ def _chase_oracle(parallelism):
     db, tgds = driver.chase_scenario()
     driver.pin_nulls()
     stats = EvalStats()
-    result = chase(
-        db,
-        tgds,
-        stats=stats,
-        parallelism=parallelism,
-        parallel_threshold=0,
-    )
+    result = chase(db, tgds, stats=stats, parallelism=parallelism)
     assert result.terminated
     return (
         driver.chase_fingerprint(result),
@@ -80,13 +73,7 @@ def _chase_site_counts(parallelism):
 
     def run(budget):
         driver.pin_nulls()
-        chase(
-            db,
-            tgds,
-            budget=budget,
-            parallelism=parallelism,
-            parallel_threshold=0,
-        )
+        chase(db, tgds, budget=budget, parallelism=parallelism)
 
     return driver.probe_site_counts(run)
 
@@ -146,71 +133,6 @@ def test_chained_trips_still_reach_oracle(seed):
         hops += 1
         assert hops <= 3, "resume chain did not converge"
     assert driver.chase_fingerprint(result) == oracle_fp
-
-
-# ======================================================================
-# Worker failure: a crashing shard is retried once, then checkpointed
-# ======================================================================
-#: A process shard "dies" by the coordinator's deterministic budget replay
-#: raising mid-merge; at both widths the crash must be retried once, then
-#: checkpointed.
-CRASH_POOLS = (driver.ProcessPool(2), driver.ProcessPool(4))
-
-
-def _kill_ordinal(seed, pool):
-    counts = _chase_site_counts(pool)
-    return random.Random(seed).randint(1, counts["hom-backtrack"])
-
-
-@pytest.mark.parametrize("pool", CRASH_POOLS)
-@pytest.mark.parametrize("seed", driver.seeds())
-def test_worker_crash_retried_once(seed, pool):
-    db, tgds = driver.chase_scenario()
-    oracle_fp, _ = _chase_oracle(pool)
-    ordinal = _kill_ordinal(seed, pool)  # probe chase — runs before the pin
-    driver.pin_nulls()
-    budget = Budget()
-    budget.inject(ordinal, site="hom-backtrack", exc=RuntimeError)
-    stats = EvalStats()
-    result = chase(
-        db,
-        tgds,
-        budget=budget,
-        stats=stats,
-        parallelism=pool,
-        parallel_threshold=0,
-    )
-    # One worker died mid-level; the coordinator retried its shard inline
-    # and the run completed as if nothing happened (stats double-count the
-    # retried shard's search work, so only the result is compared).
-    assert result.terminated and result.reason not in TRIP_CODES
-    assert stats.worker_retries >= 1
-    assert driver.chase_fingerprint(result) == oracle_fp
-
-
-@pytest.mark.parametrize("pool", CRASH_POOLS)
-@pytest.mark.parametrize("seed", driver.seeds())
-def test_worker_crash_twice_checkpoints_consistent_state(seed, pool):
-    db, tgds = driver.chase_scenario()
-    oracle_fp, _ = _chase_oracle(pool)
-    ordinal = _kill_ordinal(seed, pool)  # probe chase — runs before the pin
-    driver.pin_nulls()
-    budget = Budget()
-    budget.inject(ordinal, site="hom-backtrack", exc=RuntimeError, repeats=2)
-    with pytest.raises(ChaseWorkerError) as excinfo:
-        chase(
-            db,
-            tgds,
-            budget=budget,
-            parallelism=pool,
-            parallel_threshold=0,
-        )
-    # The retry died too: the error escapes, but carries a checkpoint of
-    # the consistent pre-level state — resume on a healthy pool ≡ oracle.
-    ckpt = excinfo.value.checkpoint
-    assert ckpt is not None
-    resumed = resume_chase(driver.roundtrip(ckpt), budget=Budget())
-    assert driver.chase_fingerprint(resumed) == oracle_fp
 
 
 # ======================================================================

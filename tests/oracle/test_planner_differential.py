@@ -5,8 +5,8 @@ backtracking join — it must never change *what* is enumerated.  These
 tests run the same searches under all three ``plan=`` policies (dynamic,
 ``"auto"``, and an explicitly pre-compiled :class:`JoinPlan`) and assert
 the multiset of homomorphisms is identical, across random queries and
-instances, under mobility/injectivity/fixed-seed variations, through the
-evaluation layers, and at every chase worker count.  A probe regression
+instances, under mobility/injectivity/fixed-seed variations, and through
+the evaluation layers.  A probe regression
 test pins the planner's reason to exist: on long-body queries the planned
 search does a fraction of the dynamic search's index probes.
 """
@@ -36,10 +36,10 @@ from repro.datamodel import (
     plan_for,
 )
 from repro.omq import OMQ, certain_answers
-from repro.options import ProcessPool
 from repro.queries import evaluate_cq, evaluate_ucq, parse_cq, parse_ucq
 
-WORKERS = (None, ProcessPool(2))
+#: The chase runs serially; the deprecated pool markers have their own tests.
+WORKERS = (None,)
 
 
 def hom_multiset(homs):

@@ -1,28 +1,23 @@
-"""Bit-identity oracle for the process-sharded chase.
+"""Bit-identity oracle for the deprecated ``ProcessPool`` marker.
 
-``chase(..., parallelism=ProcessPool(n))`` runs each level's trigger
-search in n worker processes over interned wire buffers and merges the
-candidates back into serial enumeration order, replaying the workers'
-budget-check counts into the shared :class:`~repro.governance.Budget`.
-Everything observable must therefore be *bit-identical* to the serial
-run — same atoms with the same null idents, same levels, same counters,
-same trips — which this module asserts directly (null-counter pinned, so
-fingerprints compare raw atom strings, not isomorphism classes).
-
-The pool itself (spawn, per-level sync, hard worker death + respawn) is
-unit-tested at the wire level at the bottom.
+``chase(..., parallelism=ProcessPool(n))`` is accepted for one release,
+warns, and runs the serial trigger search.  Everything observable must
+therefore be *bit-identical* to the serial run — same atoms with the same
+null idents, same levels, same counters, same trips — which this module
+asserts directly (null-counter pinned, so fingerprints compare raw atom
+strings, not isomorphism classes).
 """
 
 import pytest
 
 from repro.chase import chase, resume_chase
-from repro.chase.procpool import ProcessShardPool
-from repro.datamodel import EvalStats, Instance
-from repro.datamodel.interning import InternPool
+from repro.datamodel import EvalStats
 from repro.governance import Budget
 from repro.options import ProcessPool
 
 from tests.chaos import driver
+
+pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
 
 POOLS = (ProcessPool(2), ProcessPool(4))
 
@@ -45,15 +40,17 @@ class TestProcessEqualsSerial:
         parallel = chase(
             db, tgds, stats=stats, parallelism=pool, parallel_threshold=0
         )
-        assert parallel.parallelism_kind == "process"
+        assert parallel.parallelism_kind == "serial"
+        assert parallel.parallelism == 1
         assert driver.chase_fingerprint(parallel) == driver.chase_fingerprint(
             serial
         )
-        # The merged search does exactly the serial search's work.
-        assert stats.triggers_enumerated == serial_stats.triggers_enumerated
-        assert stats.triggers_fired == serial_stats.triggers_fired
-        assert stats.parallel_levels > 0
-        assert stats.shards_dispatched > 0
+        assert driver.stats_fingerprint(stats) == driver.stats_fingerprint(
+            serial_stats
+        )
+        assert stats.parallel_levels == 0
+        assert stats.shards_dispatched == 0
+        assert stats.worker_retries == 0
 
     @pytest.mark.parametrize("pool", POOLS)
     def test_naive_strategy_agrees_too(self, pool):
@@ -79,36 +76,9 @@ class TestProcessEqualsSerial:
         assert parallel.answers == serial.answers
         assert parallel.complete and serial.complete
 
-    def test_polluted_default_pool_is_survived(self):
-        """Unrelated instances may intern exotic objects (e.g. the
-        reductions' GroheElement) into the shared default pool; the wire
-        snapshot ships them as id-keyed opaque placeholders instead of
-        failing the sync, and the chase stays bit-identical."""
-        from repro.datamodel.interning import default_pool
-
-        class Exotic:
-            """Deliberately outside the term codec's vocabulary."""
-
-            def __repr__(self):
-                return "<exotic>"
-
-        default_pool().intern(Exotic())
-        serial, _ = _serial_run()
-        db, tgds = driver.chase_scenario()
-        driver.pin_nulls()
-        parallel = chase(
-            db,
-            tgds,
-            parallelism=ProcessPool(2),
-            parallel_threshold=0,
-        )
-        assert driver.chase_fingerprint(parallel) == driver.chase_fingerprint(
-            serial
-        )
-
 
 class TestGovernedProcessChase:
-    """Budget replay is deterministic: trips land identically every run."""
+    """Trips and resumes under the marker land exactly as serial ones do."""
 
     @pytest.mark.parametrize("pool", POOLS)
     def test_step_budget_trips_deterministically(self, pool):
@@ -129,7 +99,7 @@ class TestGovernedProcessChase:
 
     @pytest.mark.parametrize("pool", (None, ProcessPool(2), ProcessPool(4)))
     def test_resume_equals_oracle(self, pool):
-        """resume(trip(run)) ≡ uninterrupted run, across process shards."""
+        """resume(trip(run)) ≡ uninterrupted run, with or without a marker."""
         db, tgds = driver.chase_scenario()
         driver.pin_nulls()
         oracle = driver.chase_fingerprint(
@@ -147,8 +117,8 @@ class TestGovernedProcessChase:
             assert driver.chase_fingerprint(resumed) == oracle
 
     def test_resume_across_kinds_is_identical(self):
-        """A checkpoint from a process run resumes serially to the same
-        instance (and vice versa) — the checkpoint is kind-agnostic."""
+        """A checkpoint from a marked run records no parallelism and
+        resumes to the serial oracle."""
         db, tgds = driver.chase_scenario()
         driver.pin_nulls()
         oracle = driver.chase_fingerprint(chase(db, tgds))
@@ -161,85 +131,10 @@ class TestGovernedProcessChase:
             parallel_threshold=0,
         )
         config = tripped.checkpoint.config
-        assert config["parallelism"] == {"kind": "process", "workers": 2}
+        assert "parallelism" not in config
+        assert "parallel_threshold" not in config
         resumed = resume_chase(
             driver.roundtrip(tripped.checkpoint), budget=Budget(),
             parallelism=None,
         )
         assert driver.chase_fingerprint(resumed) == oracle
-
-
-class TestProcessShardPoolWire:
-    """The pool's own lifecycle: init, per-level sync, death, respawn."""
-
-    def _make(self, workers=2, strategy="naive"):
-        db, tgds = driver.chase_scenario()
-        ipool = InternPool()
-        instance = Instance(list(db), pool=ipool)
-        atoms = list(instance)
-        pairs = [(i, t) for i, t in enumerate(tgds) if t.body]
-        shard_pool = ProcessShardPool(
-            workers=workers,
-            tgds=tgds,
-            pairs=pairs,
-            strategy=strategy,
-            pool=ipool,
-        )
-        return shard_pool, atoms, pairs
-
-    @staticmethod
-    def _ok_candidates(outcomes):
-        assert all(outcome[0] == "ok" for outcome in outcomes), outcomes
-        return sorted(
-            (index, tuple(ids))
-            for outcome in outcomes
-            for index, ids in outcome[1]["candidates"]
-        )
-
-    def test_levels_are_repeatable(self):
-        shard_pool, atoms, pairs = self._make()
-        try:
-            assert len(shard_pool) == 2
-            first = self._ok_candidates(shard_pool.run_level(atoms, [], None))
-            assert first  # the scenario has triggers at level 1
-            again = self._ok_candidates(shard_pool.run_level(atoms, [], None))
-            assert again == first
-        finally:
-            shard_pool.stop()
-
-    def test_hard_worker_death_is_survived(self):
-        """A worker killed with os._exit mid-pool costs one 'died' outcome;
-        the next level runs on a transparently respawned process."""
-        shard_pool, atoms, pairs = self._make()
-        try:
-            baseline = self._ok_candidates(
-                shard_pool.run_level(atoms, [], None)
-            )
-            shard_pool.crash_worker(0)
-            outcomes = shard_pool.run_level(atoms, [], None)
-            assert outcomes[0][0] == "died"
-            assert outcomes[1][0] == "ok"
-            # The respawn happened inside run_level: next level is whole.
-            healed = self._ok_candidates(shard_pool.run_level(atoms, [], None))
-            assert healed == baseline
-        finally:
-            shard_pool.stop()
-
-    def test_site_counts_ride_along(self):
-        shard_pool, atoms, pairs = self._make()
-        try:
-            outcomes = shard_pool.run_level(atoms, [], None)
-            sites = {}
-            for outcome in outcomes:
-                for site, n in outcome[1]["sites"].items():
-                    sites[site] = sites.get(site, 0) + n
-            # The serial search over the same state checks the same sites
-            # the same number of times — the replay invariant.
-            budget = Budget()
-            from repro.chase.engine import _naive_triggers
-
-            instance = Instance(atoms, pool=InternPool())
-            list(_naive_triggers(pairs, instance, EvalStats(), budget))
-            assert sites == dict(budget.site_counts)
-        finally:
-            shard_pool.stop()

@@ -104,6 +104,23 @@ class TestEngineFlags:
         assert main(args + ["--parallelism", "2", "--no-cache"]) == 0
         assert capsys.readouterr().out == baseline
 
+    @pytest.mark.parametrize("command", ["chase", "certain", "evaluate", "serve"])
+    def test_parallelism_below_one_is_a_usage_error(self, command, capsys):
+        """Argparse rejects N < 1 with exit 2 and its usage line, before
+        any command runs (serve never binds its port)."""
+        positional = {
+            "chase": ["Emp(ada)", "Emp(x) -> Person(x)", "-e"],
+            "certain": ["Emp(ada)", "Emp(x) -> Person(x)", "q(x) :- Person(x)", "-e"],
+            "evaluate": ["Emp(ada)", "q(x) :- Emp(x)", "-e"],
+            "serve": [],
+        }[command]
+        for value in ("0", "-3"):
+            with pytest.raises(SystemExit) as excinfo:
+                main([command, *positional, "--parallelism", value])
+            assert excinfo.value.code == 2
+            err = capsys.readouterr().err
+            assert "usage:" in err and "--parallelism" in err
+
     def test_evaluate_accepts_engine_flags(self, capsys):
         code = main(
             ["evaluate", "Emp(ada)", "q(x) :- Emp(x)", "-e",

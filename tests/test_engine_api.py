@@ -2,8 +2,8 @@
 
 ``repro.Engine`` must agree with the module-level functions it wraps, the
 v1 deprecation policy must hold (``chase_strategy=`` is gone — a
-``TypeError`` — bare-int ``parallelism`` warns for one release, and a
-``ThreadPool`` marker warns and runs serially), and
+``TypeError`` — and a ``ThreadPool`` or ``ProcessPool`` marker or a
+bare int > 1 warns and runs serially), and
 every evaluation entry point / result type must speak the uniform
 protocol: ``budget=``/``stats=`` kwargs in, ``.complete`` / ``.trip`` /
 ``.stats`` out.
@@ -33,6 +33,7 @@ from repro.cqs import (
 from repro.datamodel import EvalStats, is_isomorphic
 from repro.governance import BudgetExceeded
 from repro.queries import evaluate, holds, is_answer, parse_cq, parse_database, parse_ucq
+from repro.serve import ServiceConfig
 from repro.tgds import parse_tgds
 
 
@@ -135,22 +136,25 @@ class TestDeprecations:
             warnings.simplefilter("error", DeprecationWarning)
             certain_answers(omq, db, trigger_strategy="delta")
 
-    def test_bare_int_parallelism_warns_and_means_processes(self, workload):
+    @pytest.mark.parametrize(
+        "parallelism,match",
+        [
+            (ThreadPool(2), "ThreadPool"),
+            (ProcessPool(2), "ProcessPool"),
+            (2, "parallelism=2 "),
+        ],
+        ids=["ThreadPool", "ProcessPool", "int"],
+    )
+    def test_deprecated_parallelism_warns_and_runs_serially(
+        self, workload, parallelism, match
+    ):
         tgds, db = workload
-        with pytest.warns(DeprecationWarning, match="ProcessPool"):
-            result = chase(db, tgds, parallelism=2)
-        assert result.parallelism_kind == "process"
         oracle = chase(db, tgds)
-        assert len(result.instance) == len(oracle.instance)
-
-    def test_thread_pool_warns_and_runs_serially(self, workload):
-        tgds, db = workload
-        oracle = chase(db, tgds)
-        with pytest.warns(DeprecationWarning, match="ThreadPool"):
-            direct = chase(db, tgds, parallelism=ThreadPool(2))
-        with pytest.warns(DeprecationWarning, match="ThreadPool"):
-            opts = EvalOptions(parallelism=ThreadPool(4))
-        with pytest.warns(DeprecationWarning, match="ThreadPool"):
+        with pytest.warns(DeprecationWarning, match=match):
+            direct = chase(db, tgds, parallelism=parallelism)
+        with pytest.warns(DeprecationWarning, match=match):
+            opts = EvalOptions(parallelism=parallelism)
+        with pytest.warns(DeprecationWarning, match=match):
             via_engine = Engine(tgds, options=opts).chase(db)
         for result in (direct, via_engine):
             assert result.parallelism_kind == "serial"
@@ -175,6 +179,9 @@ class TestDeprecations:
             "Engine.chase": lambda: Engine(
                 tgds, parallelism=ThreadPool(2)
             ).chase(db),
+            "ServiceConfig(ProcessPool)": lambda: ServiceConfig(
+                parallelism=ProcessPool(2)
+            ),
         }
         for name, call in calls.items():
             with warnings.catch_warnings(record=True) as caught:
@@ -188,16 +195,48 @@ class TestDeprecations:
                 assert w.filename == __file__, (name, w.filename)
 
     def test_markers_do_not_warn(self, workload):
+        """The serial spellings, None and 1, stay silent on every path."""
         import warnings
 
         tgds, db = workload
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
-            assert chase(db, tgds, parallelism=None).parallelism_kind == "serial"
-            assert (
-                chase(db, tgds, parallelism=ProcessPool(2)).parallelism_kind
-                == "process"
+            for serial in (None, 1):
+                result = chase(db, tgds, parallelism=serial)
+                assert result.parallelism_kind == "serial"
+                Engine(tgds, options=EvalOptions(parallelism=serial)).chase(db)
+                ServiceConfig(parallelism=serial)
+
+    def test_cache_hits_still_validate_parallelism(self, workload):
+        """certain_answers checks the value before the cache answers, so
+        a hit still rejects a malformed value and warns on a marker."""
+        tgds, db = workload
+        omq = OMQ.with_full_data_schema(tgds, QUERY)
+        cache = ChaseCache()
+        certain_answers(omq, db, strategy="chase", cache=cache)
+        with pytest.raises(TypeError):
+            certain_answers(
+                omq, db, strategy="chase", cache=cache, parallelism="four"
             )
+        with pytest.warns(DeprecationWarning, match="ProcessPool"):
+            certain_answers(
+                omq, db, strategy="chase", cache=cache,
+                parallelism=ProcessPool(2),
+            )
+        assert cache.hits == 1
+
+    def test_constructors_validate_parallelism(self, workload):
+        """Engine and ServiceConfig reject a malformed value when built,
+        as EvalOptions does, not at their first chase."""
+        tgds, _ = workload
+        for build in (
+            lambda value: Engine(tgds, parallelism=value),
+            lambda value: ServiceConfig(parallelism=value),
+        ):
+            with pytest.raises(TypeError):
+                build("four")
+            with pytest.raises(ValueError):
+                build(0)
 
 
 class TestEvalOptions:

@@ -1,16 +1,9 @@
 """Property-based tests (hypothesis) for the interned fact store.
 
-The process-parallel chase's correctness leans on three serialisation
-invariants, each checked here as a property over random term mixes:
-
-* **snapshot/restore identity** — an :class:`InternPool` restored from its
-  snapshot assigns every term and predicate the *same* dense id;
-* **delta composition** — applying ``delta_since`` payloads in watermark
-  order reconstructs exactly the full snapshot (the per-level worker sync
-  is lossless);
-* **checkpoint back-compat** — a pre-v2 checkpoint JSON (bare-int
-  ``config["parallelism"]`` meaning threads) still loads, resumes, and
-  reproduces the uninterrupted run bit-for-bit.
+**Checkpoint back-compat**: a pre-v2 checkpoint JSON (bare-int
+``config["parallelism"]`` meaning threads), and a v2 one recording a
+thread or process pool, still loads, resumes serially, and reproduces the
+uninterrupted run bit-for-bit.
 
 The :class:`~repro.datamodel.Instance` contract is checked against a
 reference model (an insertion-ordered list plus a set) over random add /
@@ -25,10 +18,11 @@ import tracemalloc
 from collections import Counter
 
 import hypothesis.strategies as st
+import pytest
 from hypothesis import HealthCheck, given, settings
 
 from repro.chase import chase, resume_chase
-from repro.datamodel import Atom, Instance, Null, Variable
+from repro.datamodel import Atom, Instance, Variable
 from repro.datamodel.interning import InternPool
 from repro.datamodel.io import (
     checkpoint_from_json_dict,
@@ -42,116 +36,6 @@ from tests.chaos import driver
 SETTINGS = settings(
     max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow]
 )
-
-# ---------------------------------------------------------------------------
-# Strategies: the three term shapes the codec must round-trip
-# ---------------------------------------------------------------------------
-constants = st.text(
-    alphabet="abcdefgxyz0123456789_", min_size=1, max_size=8
-)
-nulls = st.builds(
-    Null,
-    st.integers(min_value=0, max_value=10_000),
-    st.sampled_from(["", "n", "w"]),
-)
-variables = st.builds(Variable, st.sampled_from(["x", "y", "z", "u", "v"]))
-terms = st.one_of(constants, nulls, variables)
-predicates = st.sampled_from(["R", "S", "T", "Emp", "WorksFor", "P0", "Q_1"])
-
-
-class TestInternRoundTrip:
-    @SETTINGS
-    @given(st.lists(terms, max_size=30), st.lists(predicates, max_size=10))
-    def test_snapshot_restore_preserves_every_id(self, term_list, pred_list):
-        pool = InternPool()
-        ids = [pool.intern(t) for t in term_list]
-        pred_ids = [pool.intern_pred(p) for p in pred_list]
-
-        restored = InternPool.restore(pool.snapshot())
-        assert len(restored) == len(pool)
-        assert restored.pred_count() == pool.pred_count()
-        for term, ident in zip(term_list, ids):
-            assert restored.id_of(term) == ident
-            assert restored.term_of(ident) == term
-        for pred, ident in zip(pred_list, pred_ids):
-            assert restored.pred_id_of(pred) == ident
-            assert restored.pred_of(ident) == pred
-
-    @SETTINGS
-    @given(st.lists(terms, max_size=30), st.lists(predicates, max_size=10))
-    def test_snapshot_is_pure_json(self, term_list, pred_list):
-        pool = InternPool()
-        for t in term_list:
-            pool.intern(t)
-        for p in pred_list:
-            pool.intern_pred(p)
-        wire = json.dumps(pool.snapshot(), sort_keys=True)
-        restored = InternPool.restore(json.loads(wire))
-        assert restored.snapshot() == pool.snapshot()
-
-    @SETTINGS
-    @given(
-        st.lists(terms, min_size=1, max_size=30, unique=True),
-        st.integers(min_value=0, max_value=29),
-    )
-    def test_delta_composition_equals_snapshot(self, term_list, cut):
-        """snapshot == delta(0) ++ delta(watermark): the per-level sync."""
-        cut = min(cut, len(term_list))
-        pool = InternPool()
-        for t in term_list[:cut]:
-            pool.intern(t)
-        marks = pool.watermarks()
-        for t in term_list[cut:]:
-            pool.intern(t)
-
-        # A follower synced at `marks` catches up with one delta and then
-        # holds exactly the coordinator's tables, id-for-id.
-        follower = InternPool()
-        for t in term_list[:cut]:
-            follower.intern(t)
-        follower.apply_delta(pool.delta_since(*marks))
-        assert follower.snapshot() == pool.snapshot()
-        assert follower.watermarks() == pool.watermarks()
-
-    @SETTINGS
-    @given(st.lists(terms, max_size=15))
-    def test_unserialisable_entries_become_aligned_placeholders(
-        self, term_list
-    ):
-        """Exotic interned objects don't break the wire snapshot: they
-        ship as opaque placeholders at the same ids, so every codable
-        term keeps its id on the restored side."""
-        from repro.datamodel.io import OpaqueTerm
-
-        class Exotic:
-            pass
-
-        pool = InternPool()
-        exotic_id = pool.intern(Exotic())
-        ids = [pool.intern(t) for t in term_list]
-
-        restored = InternPool.restore(pool.snapshot())
-        assert len(restored) == len(pool)
-        placeholder = restored.term_of(exotic_id)
-        assert isinstance(placeholder, OpaqueTerm)
-        assert placeholder.ident == exotic_id
-        for term, ident in zip(term_list, ids):
-            assert restored.id_of(term) == ident
-
-    @SETTINGS
-    @given(st.lists(terms, min_size=1, max_size=20, unique=True))
-    def test_out_of_order_delta_is_refused(self, term_list):
-        pool = InternPool()
-        for t in term_list:
-            pool.intern(t)
-        stale = pool.delta_since(0, 0)
-        follower = InternPool.restore(pool.snapshot())
-        try:
-            follower.apply_delta(stale)
-        except ValueError:
-            pass  # expected: watermark mismatch
-        else:
-            assert len(term_list) == 0  # only an empty delta may re-apply
 
 
 # ---------------------------------------------------------------------------
@@ -197,10 +81,12 @@ class TestCheckpointBackCompat:
         resumed = resume_chase(checkpoint_from_json_dict(old), budget=Budget())
         assert driver.chase_fingerprint(resumed) == oracle
 
-    def test_thread_checkpoint_resumes_serially(self):
-        # What a ThreadPool(4) run checkpointed (and what the format-1 shim
-        # decodes a bare int to): the resume runs serially, warns nothing,
-        # and still reaches the uninterrupted oracle.
+    @pytest.mark.parametrize("kind", ["thread", "process"])
+    def test_pool_checkpoint_resumes_serially(self, kind):
+        # What a ThreadPool(4) or ProcessPool(4) run checkpointed (the
+        # format-1 shim decodes a bare int to the thread form): the resume
+        # runs serially, warns nothing, and still reaches the
+        # uninterrupted oracle.
         import warnings
 
         db, tgds = driver.chase_scenario()
@@ -208,7 +94,7 @@ class TestCheckpointBackCompat:
         oracle = driver.chase_fingerprint(chase(db, tgds))
 
         payload = checkpoint_to_json_dict(self._tripped_checkpoint())
-        payload["config"]["parallelism"] = {"kind": "thread", "workers": 4}
+        payload["config"]["parallelism"] = {"kind": kind, "workers": 4}
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
             resumed = resume_chase(
@@ -226,8 +112,6 @@ class TestCheckpointBackCompat:
         assert loaded.config == ckpt.config
 
     def test_newer_version_is_refused(self):
-        import pytest
-
         from repro.governance.checkpoint import CheckpointError
 
         ckpt = self._tripped_checkpoint()
