@@ -418,9 +418,11 @@ def cmd_serve(args: argparse.Namespace) -> int:
             for name, tgds in tenants:
                 svc.register(name, tgds)
             server = await serve_tcp(svc, args.host, args.port)
+            # The bound port, not the requested one: --port 0 asks for any.
+            port = server.sockets[0].getsockname()[1]
             print(
                 f"repro serve: {len(tenants)} tenant(s) on "
-                f"{args.host}:{args.port} (deadline {config.deadline}s)",
+                f"{args.host}:{port} (deadline {config.deadline}s)",
                 flush=True,
             )
             async with server:

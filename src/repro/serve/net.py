@@ -20,6 +20,15 @@ request's ``id`` echoed back; every malformed frame comes back as
 ``{"status": "error", "error": <class>, "detail": ...}`` — the
 connection never dies from a bad request.
 
+``database`` is absent (the empty database) or a JSON list of strings,
+each holding fact text; anything else is a ``ValueError``.  The list is
+parsed through the service's database memo, a bounded LRU (bound
+``ServiceConfig.cache_entries``) keyed by the exact list: a request that
+repeats a recent list gets the very :class:`~repro.Instance` parsed for
+it before, shared read-only across requests, and skips the parse, the
+interning and the planner's statistics build.  A list that fails to
+parse is not stored; its error stays with its request.
+
 Hostile-client hardening (the service behind this socket is the same one
 the E23 load gate certifies — one slowloris must not degrade it):
 
@@ -53,7 +62,7 @@ import json
 
 from ..omq import OMQ
 from ..cqs import CQS
-from ..queries import parse_cq, parse_database, parse_ucq
+from ..queries import parse_cq, parse_ucq
 from .service import QueryService
 
 __all__ = ["TcpTransport", "serve_tcp", "request_tcp"]
@@ -99,7 +108,10 @@ def _parse_request(service: QueryService, payload: dict):
         query = CQS(list(entry.tgds), parse_ucq(text))
     else:
         raise ValueError(f"unknown query kind {kind!r}")
-    database = parse_database(", ".join(payload.get("database", [])))
+    facts = payload.get("database", [])
+    if not isinstance(facts, list) or not all(isinstance(f, str) for f in facts):
+        raise ValueError("database must be a list of fact strings")
+    database = service._databases(tuple(facts))
     return (
         tenant,
         query,

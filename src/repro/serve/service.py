@@ -50,11 +50,19 @@ Tenant isolation: budgets, queues, concurrency caps, breakers, and
 telemetry are per-tenant; the chase cache is deliberately shared (two
 tenants with one ontology share materialisations) with per-tenant
 accounting via :meth:`~repro.chase.ChaseCache.scoped`.
+
+Shared databases: the wire transport parses each distinct fact list once
+through the service's database memo (a bounded LRU), so concurrent
+requests may hold the very same :class:`~repro.Instance`.
+Every route treats a request's database as read-only — the chase copies
+it, SQL loads it into sqlite, the answer steps only read it — and no
+route may change it.
 """
 
 from __future__ import annotations
 
 import asyncio
+import functools
 import itertools
 import threading
 import time
@@ -64,10 +72,12 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 from ..chase import ChaseCache
+from ..datamodel import Instance
 from ..engine import Engine
 from ..evaluation import evaluate as _evaluate, query_kind
 from ..governance import Budget, BudgetExceeded
 from ..options import EvalOptions, Parallelism, check_backend, check_parallelism
+from ..queries import parse_database
 from ..tgds import TGD
 from ..treewidth.heuristics import treewidth_upper_bound
 from .breaker import BreakerBoard
@@ -135,7 +145,7 @@ class ServiceConfig:
     watchdog_interval: float = 0.05
     watchdog_grace: float = 0.5  # past-deadline slack before cancel/kill
     retry_after: float = 0.25  # base backoff hint for rejections
-    cache_entries: int = 128
+    cache_entries: int = 128  # bounds each cache tier and the database memo
     cache_spill_dir: str | None = None
     parallelism: "Parallelism" = None
 
@@ -238,6 +248,11 @@ class _Tenant:
         self.queue: deque[QueryRequest] = deque()
 
 
+def _parse_wire_database(facts: tuple[str, ...]) -> Instance:
+    """Parse one wire fact list; the service memoises this per list."""
+    return parse_database(", ".join(facts))
+
+
 class QueryService:
     """The asyncio front door.  See the module docstring for the design.
 
@@ -266,6 +281,15 @@ class QueryService:
         )
         self.telemetry = Telemetry(clock=clock)
         self._tenants: dict[str, _Tenant] = {}
+        #: The database memo, read by the transport's request parser: a
+        #: bounded LRU from a wire fact list to its parsed Instance, shared
+        #: read-only by every request that repeats the list.  A hit skips
+        #: the parse and the interning, and the instance keeps its atoms'
+        #: cached hashes, planner statistics and compiled plans.  A parse
+        #: that raises stores nothing, so errors stay per request.
+        self._databases = functools.lru_cache(self.config.cache_entries)(
+            _parse_wire_database
+        )
         self._ids = itertools.count(1)
         self._queued = 0
         self._lock = threading.Lock()
@@ -454,7 +478,7 @@ class QueryService:
         return await self._await_response(req)
 
     async def healthz(self) -> dict:
-        """The ``/healthz`` snapshot: telemetry + queues + breakers + cache."""
+        """The ``/healthz`` snapshot: telemetry + queues + breakers + caches."""
         snapshot = self.telemetry.healthz()
         with self._lock:
             snapshot["queue_depth"] = self._queued
@@ -465,6 +489,13 @@ class QueryService:
         }
         snapshot["breakers"] = self.breakers.snapshot()
         snapshot["cache"] = self.cache.info()
+        memo = self._databases.cache_info()
+        snapshot["database_memo"] = {
+            "hits": memo.hits,
+            "misses": memo.misses,
+            "entries": memo.currsize,
+            "max_entries": memo.maxsize,
+        }
         return snapshot
 
     # ------------------------------------------------------------------

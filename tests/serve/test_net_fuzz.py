@@ -23,6 +23,7 @@ an oversized frame mid-connection.
 """
 
 import asyncio
+import functools
 import json
 import os
 
@@ -30,9 +31,10 @@ import hypothesis
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro import parse_tgds
+from repro import parse_database, parse_tgds
 from repro.serve import QueryService, ServiceConfig, serve_tcp
 from repro.serve.net import _ConnectionState, _handle
+from repro.serve.service import _parse_wire_database
 
 #: Small frame cap so the fuzzer actually crosses it.
 MAX_FRAME = 256
@@ -64,21 +66,25 @@ class _StubService:
     """Quacks enough like QueryService for ``_handle``.
 
     ``_parse_request`` (the error-prone surface: JSON shape, query
-    parsing, tenant/kind dispatch) runs for real; evaluation is canned so
-    each example costs microseconds.  *boom* plants an internal failure
-    whose message must never reach the wire.
+    parsing, tenant/kind dispatch, the database memo) runs for real;
+    evaluation is canned so each example costs microseconds.  *boom*
+    plants an internal failure whose message must never reach the wire.
+    ``databases`` keeps every database handed to :meth:`submit`.
     """
 
     def __init__(self, boom: Exception | None = None):
         self._tenants = {"acme": _Entry(tuple(parse_tgds(["R(x, y) -> P(x)"])))}
+        self._databases = functools.lru_cache(8)(_parse_wire_database)
         self.boom = boom
         self.submits = 0
+        self.databases = []
 
     async def healthz(self):
         return {"status": "ok", "stub": True}
 
     async def submit(self, tenant, query, database, backend=None, deadline=None):
         self.submits += 1
+        self.databases.append(database)
         if self.boom is not None:
             raise self.boom
 
@@ -151,6 +157,9 @@ _json_value = st.recursive(
     max_leaves=6,
 )
 
+#: Fact lists, well-formed and not.
+_fact_list = st.lists(st.sampled_from(["R(a, b)", "P(a)", "R(a", ""]), max_size=3)
+
 #: Request-shaped objects: known keys, adversarial values.
 _request_obj = st.dictionaries(
     st.sampled_from(
@@ -161,9 +170,24 @@ _request_obj = st.dictionaries(
             ["acme", "ghost", "ucq", "cq", "omq", "cqs", "healthz", "query",
              "q(x) :- P(x)", "q(x) :- ", "R(a, b)", ""]
         ),
+        _fact_list,
         _json_value,
     ),
     max_size=6,
+)
+
+#: Requests that get past the tenant and query checks, so the database
+#: field reaches the memo: a known tenant and kind, a query that parses.
+_parseable_request = st.fixed_dictionaries(
+    {
+        "tenant": st.just("acme"),
+        "query": st.sampled_from(["q(x) :- P(x)", "q(x) :- R(x, y)"]),
+    },
+    optional={
+        "kind": st.sampled_from(["ucq", "cq", "omq", "cqs"]),
+        "database": st.one_of(_fact_list, _json_value),
+        "id": st.integers(),
+    },
 )
 
 _line = st.one_of(
@@ -235,6 +259,93 @@ def test_fuzz_id_echoed_even_on_error(payload):
     body = json.loads(responses[0])
     if "id" in payload:
         assert body.get("id") == payload["id"]
+
+
+@_maybe_seed
+@_fuzz_settings
+@given(st.one_of(_request_obj, _parseable_request))
+def test_fuzz_request_parsing_fails_only_on_client_input(payload):
+    """Without a planted failure, a request-shaped object is either
+    answered or refused as a client error: the parser itself never
+    reaches ``internal error``."""
+    blob = json.dumps(payload).encode()
+    if len(blob) > MAX_FRAME:
+        return
+    body = json.loads(_drive(_StubService(), blob + b"\n")[0])
+    assert body.get("detail") != "internal error", body
+
+
+# ----------------------------------------------------------------------
+# Deterministic request parsing through the stub
+# ----------------------------------------------------------------------
+_WELL_FORMED = {
+    "tenant": "acme",
+    "query": "q(x) :- P(x)",
+    "database": ["R(a, b)", "P(c)"],
+}
+
+
+def _one(service, payload: dict) -> dict:
+    return json.loads(_drive(service, json.dumps(payload).encode() + b"\n")[0])
+
+
+class TestDatabaseField:
+    def test_well_formed_request_is_answered(self):
+        stub = _StubService()
+        assert _one(stub, _WELL_FORMED)["status"] == "ok"
+        assert stub.submits == 1
+        assert stub.databases[0] == parse_database("R(a, b), P(c)")
+
+    def test_same_list_twice_is_parsed_once(self):
+        stub = _StubService()
+        blob = json.dumps(_WELL_FORMED).encode() + b"\n"
+        responses = _drive(stub, blob + blob)
+        assert [json.loads(r)["status"] for r in responses] == ["ok", "ok"]
+        first, second = stub.databases
+        assert first is second
+        info = stub._databases.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
+
+    def test_absent_database_is_empty(self):
+        stub = _StubService()
+        payload = {"tenant": "acme", "query": "q(x) :- P(x)"}
+        assert _one(stub, payload)["status"] == "ok"
+        assert len(stub.databases[0]) == 0
+
+    @pytest.mark.parametrize(
+        "database",
+        [{"R(a)": 1}, "Emp(ada)", ["R(a)", 3], [["R(a)"]], None, 7],
+        ids=["dict", "string", "non-string-fact", "nested-list", "null", "int"],
+    )
+    def test_malformed_database_is_a_client_error(self, database):
+        stub = _StubService()
+        body = _one(stub, dict(_WELL_FORMED, database=database, id=5))
+        assert body["status"] == "error"
+        assert body["error"] == "ValueError"
+        assert body["detail"] == "database must be a list of fact strings"
+        assert body["id"] == 5
+        assert stub.submits == 0
+
+    def test_failed_parse_is_not_stored(self):
+        stub = _StubService()
+        bad = dict(_WELL_FORMED, database=["R(a, b)", "P(c"])
+        first, second = _one(stub, bad), _one(stub, bad)
+        assert first == second
+        assert first["error"] == "ParseError" and "P(c" in first["detail"]
+        info = stub._databases.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (0, 2, 0)
+
+    def test_memo_is_bounded(self):
+        stub = _StubService()
+        bound = stub._databases.cache_info().maxsize
+        for i in range(bound + 3):
+            payload = dict(_WELL_FORMED, database=[f"P(c{i})"])
+            assert _one(stub, payload)["status"] == "ok"
+        assert stub._databases.cache_info().currsize == bound
+        # The oldest lists were evicted, so the first one parses afresh.
+        assert _one(stub, dict(_WELL_FORMED, database=["P(c0)"]))["status"] == "ok"
+        assert stub.databases[0] is not stub.databases[-1]
+        assert stub.databases[0] == stub.databases[-1]
 
 
 # ----------------------------------------------------------------------

@@ -1,8 +1,19 @@
 """Tests for the command-line interface."""
 
+import asyncio
+import os
+import re
+import select
+import signal
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.cli import main
+from repro.serve import request_tcp
 
 
 @pytest.fixture()
@@ -267,3 +278,36 @@ class TestCorruptResume:
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("error: --resume:")
+
+
+class TestServe:
+    def test_port_zero_announces_the_bound_port(self, tmp_path):
+        """``--port 0`` binds any free port; the listening line names the
+        port actually bound, so a caller can connect to it."""
+        sigma = tmp_path / "sigma.txt"
+        sigma.write_text("Emp(x) -> Person(x)\n")
+        src = Path(repro.__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=str(src))
+        with subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", "--port", "0",
+             "--tenant", f"acme={sigma}"],
+            env=env,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.DEVNULL,
+        ) as proc:
+            try:
+                ready, _, _ = select.select([proc.stdout], [], [], 30)
+                line = proc.stdout.readline().decode() if ready else ""
+                assert line.startswith("repro serve: 1 tenant(s) on 127.0.0.1:")
+                port = int(re.search(r":(\d+) ", line).group(1))
+                assert port != 0
+                body = asyncio.run(
+                    request_tcp({"op": "healthz"}, port=port, timeout=10)
+                )
+                assert body["status"] == "ok"
+            finally:
+                proc.send_signal(signal.SIGINT)
+                try:
+                    proc.wait(timeout=10)
+                except subprocess.TimeoutExpired:
+                    proc.kill()
