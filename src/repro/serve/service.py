@@ -281,12 +281,10 @@ class QueryService:
         )
         self.telemetry = Telemetry(clock=clock)
         self._tenants: dict[str, _Tenant] = {}
-        #: The database memo, read by the transport's request parser: a
-        #: bounded LRU from a wire fact list to its parsed Instance, shared
-        #: read-only by every request that repeats the list.  A hit skips
-        #: the parse and the interning, and the instance keeps its atoms'
-        #: cached hashes, planner statistics and compiled plans.  A parse
-        #: that raises stores nothing, so errors stay per request.
+        #: The database memo the transport's request parser reads through:
+        #: wire fact list -> parsed Instance, shared read-only (see the
+        #: module docstring).  A parse that raises stores nothing, so
+        #: errors stay per request.
         self._databases = functools.lru_cache(self.config.cache_entries)(
             _parse_wire_database
         )
